@@ -27,14 +27,15 @@ analysis (never to an unsound claim).
 
 The :class:`SummaryStore` is content-addressed: a component's key is a
 SHA-256 over the analysis domain and parameters, the component's own
-clause fingerprints (the same :func:`~repro.terms.variant.variant_key`
-discipline as :func:`repro.serve.cache.fingerprint_program`), and the
-**digests of its callee components' summaries**.  Digest-chaining makes
-invalidation condensation-aware for free: editing a leaf component
-changes its digest, which changes the key of every component that can
-reach it — exactly the reverse-condensation closure
-:func:`repro.serve.cache.dirty_components` computes explicitly — while
-untouched siblings keep their keys and stay warm.  Entries live in a
+clause fingerprints
+(:func:`~repro.analysis.depgraph.component_clause_keys`, which the
+serve cache keys by too), and the **digests of its callee components'
+summaries**.  Digest-chaining makes invalidation condensation-aware
+for free: editing a leaf component changes its digest, which changes
+the key of every component that can reach it — exactly the
+reverse-condensation closure :func:`repro.serve.cache.dirty_components`
+computes explicitly — while untouched siblings keep their keys and
+stay warm.  Entries live in a
 bounded in-memory LRU backed by an on-disk directory (one JSON file
 per key, written atomically), so worker processes of one
 ``map_corpus``/``--jobs N`` sweep share a store through the
@@ -54,6 +55,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
+from repro.analysis.depgraph import DependencyGraph, component_clause_keys
 from repro.prolog.program import Indicator, Program
 from repro.terms.term import Struct, Term, Var, fresh_var
 
@@ -214,9 +216,8 @@ def component_key(
 ) -> str:
     """Content address of one component's summary.
 
-    ``clause_keys`` are the component's own clause ``variant_key``
-    fingerprints (per sorted predicate, per clause — the keying
-    :func:`repro.serve.cache.fingerprint_program` uses);
+    ``clause_keys`` are the component's own clause fingerprints
+    (:func:`~repro.analysis.depgraph.component_clause_keys`);
     ``callee_digests`` are ``(indicator, digest)`` pairs for every
     *defined* external callee.  Chaining callee digests into the key
     is what makes invalidation condensation-aware: a changed leaf
@@ -230,17 +231,6 @@ def component_key(
         tuple(sorted(callee_digests)),
     ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def component_clause_keys(program: Program, component) -> tuple:
-    """The component's clause fingerprints (``serve.cache`` discipline)."""
-    from repro.terms.variant import variant_key
-
-    keys = []
-    for indicator in sorted(component):
-        for clause in program.clauses_for(indicator):
-            keys.append(variant_key(Struct(":-", (clause.head, clause.body))))
-    return tuple(keys)
 
 
 # ----------------------------------------------------------------------
@@ -472,8 +462,6 @@ def _count_obs(name: str, amount: int = 1) -> None:
 
 def _defined_components(program: Program):
     """Condensation pieces with clauses, callees before callers."""
-    from repro.analysis.depgraph import DependencyGraph
-
     graph = DependencyGraph(program)
     out = []
     for component in graph.sccs():

@@ -18,26 +18,17 @@ body positions.  ``scc=False`` selects the flat whole-program loop
 model, the SCC mode with strictly fewer rule applications on layered
 programs (compare :attr:`BottomUpEngine.rule_firings`).
 
-Independent condensation components can additionally evaluate
-*concurrently*: ``max_workers`` > 1 hands the component DAG to the
-ready-set scheduler of :mod:`repro.parallel.scheduler`.  Each
-predicate lives in exactly one component, a component only reads
-relations of completed callee components, and work counters fold per
-component — so parallel evaluation is bit-for-bit deterministic
-(identical fact stores, orders and totals for any worker count).
-
 Supported programs: clauses whose body literals are user predicates,
 deterministic builtins, or **stratified negation** (``\\+ Goal`` /
 ``not(Goal)``).  A negative literal is evaluated as negation-as-failure
 against the *frozen* relations of a strictly lower stratum
 (:func:`repro.analysis.stratify.stratum_numbers`): Tarjan's
-callees-first component order already places the negated component
-before its negating caller in the serial walk, and the parallel path
-inserts stratum barriers (:func:`repro.parallel.scheduler.run_stratified_schedule`)
-so a stratum-*k+1* component never starts while a stratum-*k* table is
-still growing.  Programs that negate inside a recursive component are
-rejected up front with :class:`UnstratifiedProgramError`, which carries
-the same ``unstratified-negation`` diagnostics the lint pass reports.
+callees-first component order already completes the negated component
+before its negating caller starts, so no stratum-*k+1* rule ever reads
+a stratum-*k* table that is still growing.  Programs that negate inside
+a recursive component are rejected up front with
+:class:`UnstratifiedProgramError`, which carries the same
+``unstratified-negation`` diagnostics the lint pass reports.
 Derived facts may contain variables (non-ground facts are stored
 canonically), which the Prop-domain abstract programs need
 (``sp_f(n, X, Y)`` style answers).
@@ -126,24 +117,6 @@ class _Rule:
         ]
 
 
-class _CompStats:
-    """Per-component work counters, folded into the engine at join.
-
-    Workers evaluating independent components concurrently must not
-    race the engine-level totals; each component accumulates here and
-    the engine folds components in index order (the sums are
-    commutative, so the totals equal the serial walk's exactly).
-    """
-
-    __slots__ = ("rounds", "rule_firings", "derivations", "neg_checks")
-
-    def __init__(self):
-        self.rounds = 0
-        self.rule_firings = 0
-        self.derivations = 0
-        self.neg_checks = 0
-
-
 class BottomUpEngine:
     """Semi-naive evaluation of a definite program's minimal model.
 
@@ -151,17 +124,9 @@ class BottomUpEngine:
     callees-first; ``scc=False`` runs the flat single-loop strategy.
     ``rounds`` counts semi-naive iterations and ``rule_firings`` counts
     rule applications (one delta-join pass over one rule) — the metric
-    the SCC schedule reduces.
-
-    ``max_workers`` > 1 evaluates *independent* condensation
-    components concurrently on a thread pool (ready-set scheduling
-    over :meth:`~repro.analysis.depgraph.DependencyGraph.condensation_edges`);
-    each predicate belongs to exactly one component and a component
-    starts only after every callee component completed, so workers
-    write disjoint relations and read only finished ones — the fact
-    stores, their order, and the work counters are bit-for-bit
-    identical for any worker count.  The default ``max_workers=1`` is
-    exactly the sequential walk.
+    the SCC schedule reduces.  The counters accumulate on the engine as
+    work happens, so a run stopped by its budget still reports what it
+    spent.
     """
 
     def __init__(
@@ -171,7 +136,6 @@ class BottomUpEngine:
         scc: bool = True,
         governor=None,
         obs=None,
-        max_workers: int = 1,
     ):
         self.program = program
         self.max_rounds = max_rounds
@@ -182,14 +146,12 @@ class BottomUpEngine:
             governor = ResourceGovernor(Budget(rounds=max_rounds))
         self.governor = governor
         self.obs = resolve_observer(obs)
-        self.max_workers = max(1, int(max_workers)) if max_workers else 1
         self.relations: dict[Indicator, _Relation] = {}
         self.rounds = 0
         self.derivations = 0
         self.rule_firings = 0
         self.neg_checks = 0
         self.scc_count = 0
-        self.condensation = None
         self.strata: dict[Indicator, int] | None = None
         self._evaluated = False
 
@@ -201,9 +163,7 @@ class BottomUpEngine:
         obs = self.obs
         if not obs.enabled:
             return self._evaluate()
-        with obs.span(
-            "engine.bottomup.evaluate", scc=self.scc, max_workers=self.max_workers
-        ) as span:
+        with obs.span("engine.bottomup.evaluate", scc=self.scc) as span:
             rounds0 = self.rounds
             derivations0 = self.derivations
             firings0 = self.rule_firings
@@ -272,19 +232,17 @@ class BottomUpEngine:
         return results
 
     # ------------------------------------------------------------------
-    # SCC-guided evaluation: condensation order, one stratum at a time.
+    # SCC-guided evaluation: condensation order, callees first.
 
     def _evaluate_by_scc(
         self, rules: list[_Rule], initial, has_negation: bool = False
     ) -> None:
         from repro.analysis.depgraph import DependencyGraph
-        from repro.parallel.scheduler import condensation_profile
 
         graph = DependencyGraph(self.program)
         components = graph.sccs()  # callees before callers
         index = graph.scc_index()
         self.scc_count = len(components)
-        comp_strata = None
         if has_negation:
             from repro.analysis.stratify import stratum_numbers, unstratified_sites
 
@@ -293,48 +251,25 @@ class BottomUpEngine:
             if sites or numbers is None:
                 raise UnstratifiedProgramError(sites)
             self.strata = numbers
-            comp_strata = [
-                max(numbers.get(node, 0) for node in component)
-                for component in components
-            ]
         rules_by_scc: dict[int, list[_Rule]] = {}
         for rule in rules:
             rules_by_scc.setdefault(index[rule.indicator], []).append(rule)
-
-        edges = graph.condensation_edges()
-        profile = condensation_profile(len(components), edges)
-        profile["largest_component"] = max(
-            (len(component) for component in components), default=0
-        )
-        self.condensation = profile
         if self.obs.enabled:
             registry = self.obs.registry
-            registry.gauge("engine.scc.condensation_width").set(profile["width"])
             registry.gauge("engine.scc.largest_component").set(
-                profile["largest_component"]
+                max((len(component) for component in components), default=0)
             )
-            registry.gauge("engine.scc.components").set(profile["components"])
+            registry.gauge("engine.scc.components").set(len(components))
 
-        if self.max_workers > 1 and len(components) > 1:
-            self._evaluate_components_parallel(
-                components, edges, rules_by_scc, initial, comp_strata
-            )
-            return
-        # serial walk: Tarjan's callees-first order covers negative edges
-        # too (they are ordinary condensation edges), so every negated
-        # relation is frozen before its negating component runs
+        # Tarjan's callees-first order covers negative edges too (they are
+        # ordinary condensation edges), so every negated relation is
+        # frozen before its negating component runs
         for position, component in enumerate(components):
-            stats = _CompStats()
-            try:
-                self._evaluate_component(
-                    component, rules_by_scc.get(position, ()), initial, stats
-                )
-            finally:
-                self._fold_stats(stats)
+            self._evaluate_component(
+                component, rules_by_scc.get(position, ()), initial
+            )
 
-    def _evaluate_component(
-        self, component, component_rules, initial, stats: _CompStats
-    ) -> None:
+    def _evaluate_component(self, component, component_rules, initial) -> None:
         """Evaluate one SCC against already-complete callee relations."""
         members = set(component)
         delta: list[Term] = []
@@ -351,75 +286,11 @@ class BottomUpEngine:
                 recursive.append((rule, scc_positions))
             else:
                 # every dependency is already complete: fire once
-                self._fire_full(rule, delta, stats)
+                self._fire_full(rule, delta)
         if recursive:
-            self._seminaive(recursive, delta, stats)
+            self._seminaive(recursive, delta)
 
-    def _evaluate_components_parallel(
-        self, components, edges, rules_by_scc, initial, comp_strata=None
-    ) -> None:
-        """Ready-set schedule: independent components on worker threads.
-
-        Workers touch only their own component's relations (pre-created
-        here so the shared dict is never resized concurrently) and
-        their own :class:`_CompStats`; the governor is switched to
-        locked charging; on the first worker error the governor is
-        cancelled so siblings trip cooperatively, and partial stats
-        still fold so exhausted runs report their spend.
-
-        ``comp_strata`` (set when the program negates) adds stratum
-        barriers: a stratum-*k+1* component is dispatched only after
-        every stratum-*k* component completed, so negative literals
-        always read frozen relations.
-        """
-        from repro.parallel.scheduler import run_stratified_schedule
-
-        precreated = []
-        for rule_list in rules_by_scc.values():
-            for rule in rule_list:
-                if rule.indicator not in self.relations:
-                    precreated.append(rule.indicator)
-                    self._relation(rule.indicator)
-        governor = self.governor
-        if governor is not None:
-            governor.make_thread_safe()
-        stats_by_component = [_CompStats() for _ in components]
-
-        def run(position):
-            self._evaluate_component(
-                components[position],
-                rules_by_scc.get(position, ()),
-                initial,
-                stats_by_component[position],
-            )
-
-        try:
-            run_stratified_schedule(
-                len(components),
-                edges,
-                comp_strata,
-                run,
-                self.max_workers,
-                on_abort=None if governor is None else governor.cancel,
-            )
-        finally:
-            for stats in stats_by_component:
-                self._fold_stats(stats)
-            # drop rule-head relations that never derived a fact, so the
-            # store matches the serial walk's exactly (which creates a
-            # relation only on first derivation)
-            for indicator in precreated:
-                if not self.relations[indicator].facts:
-                    del self.relations[indicator]
-
-    def _fold_stats(self, stats: _CompStats) -> None:
-        self.rounds += stats.rounds
-        self.rule_firings += stats.rule_firings
-        self.derivations += stats.derivations
-        self.neg_checks += stats.neg_checks
-
-    def _seminaive(self, recursive: list, delta: list[Term],
-                   stats: _CompStats) -> None:
+    def _seminaive(self, recursive: list, delta: list[Term]) -> None:
         """Delta iteration over one recursive component."""
         by_pred: dict[Indicator, list] = {}
         for entry in recursive:
@@ -427,7 +298,7 @@ class BottomUpEngine:
             for i in scc_positions:
                 by_pred.setdefault(_indicator(rule.body[i]), []).append(entry)
         while delta:
-            stats.rounds += 1
+            self.rounds += 1
             if self.governor is not None:
                 self.governor.charge("rounds", delta[0])
             delta_keys = {variant_key(f) for f in delta}
@@ -443,31 +314,24 @@ class BottomUpEngine:
                     seen.add(id(entry))
                     rule, scc_positions = entry
                     self._fire(rule, scc_positions, delta_keys, delta_by_pred,
-                               next_delta, stats)
+                               next_delta)
             delta = next_delta
 
     # ------------------------------------------------------------------
     # Flat evaluation: the original whole-program loop (ablation baseline).
 
     def _evaluate_flat(self, rules: list[_Rule], initial) -> None:
-        stats = _CompStats()
-        try:
-            self._evaluate_flat_inner(rules, initial, stats)
-        finally:
-            self._fold_stats(stats)
-
-    def _evaluate_flat_inner(self, rules, initial, stats: _CompStats) -> None:
         delta: list[Term] = [f for group in initial.values() for f in group]
         by_pred: dict[Indicator, list[_Rule]] = {}
         for rule in rules:
             if not rule.user_positions:
                 # builtin-only body: derivable immediately, no delta to wait on
-                self._fire_full(rule, delta, stats)
+                self._fire_full(rule, delta)
                 continue
             for i in rule.user_positions:
                 by_pred.setdefault(_indicator(rule.body[i]), []).append(rule)
         while delta:
-            stats.rounds += 1
+            self.rounds += 1
             if self.governor is not None:
                 self.governor.charge("rounds", delta[0])
             delta_keys = {variant_key(f) for f in delta}
@@ -483,7 +347,7 @@ class BottomUpEngine:
                     seen_rules.add(id(rule))
                     self._fire(
                         rule, rule.user_positions, delta_keys, delta_by_pred,
-                        next_delta, stats
+                        next_delta
                     )
             delta = next_delta
 
@@ -495,18 +359,17 @@ class BottomUpEngine:
             self.relations[indicator] = relation
         return relation
 
-    def _fire_full(self, rule: _Rule, next_delta: list[Term],
-                   stats: _CompStats) -> None:
+    def _fire_full(self, rule: _Rule, next_delta: list[Term]) -> None:
         """Apply a rule once, joining every position against the store."""
-        stats.rule_firings += 1
+        self.rule_firings += 1
         if self.governor is not None:
             self.governor.poll(rule.head)
         renamed = rename_apart(Struct("$rule", (rule.head, *rule.body)))
         head, body = renamed.args[0], list(renamed.args[1:])
-        self._join(rule, head, body, 0, EMPTY_SUBST, None, None, next_delta, stats)
+        self._join(rule, head, body, 0, EMPTY_SUBST, None, None, next_delta)
 
     def _fire(self, rule: _Rule, positions, delta_keys, delta_by_pred,
-              next_delta, stats: _CompStats):
+              next_delta):
         """Semi-naive firing: require >= 1 delta fact among body matches.
 
         For each eligible body position (``positions``), join that
@@ -516,7 +379,7 @@ class BottomUpEngine:
         for delta_position in positions:
             if _indicator(rule.body[delta_position]) not in delta_by_pred:
                 continue
-            stats.rule_firings += 1
+            self.rule_firings += 1
             if self.governor is not None:
                 self.governor.poll(rule.head)
             renamed = rename_apart(Struct("$rule", (rule.head, *rule.body)))
@@ -530,7 +393,6 @@ class BottomUpEngine:
                 delta_position,
                 delta_keys,
                 next_delta,
-                stats,
             )
 
     def _join(
@@ -543,11 +405,10 @@ class BottomUpEngine:
         delta_position,
         delta_keys,
         next_delta,
-        stats: _CompStats,
     ):
         if position == len(body):
             fact = canonical(head, subst)
-            stats.derivations += 1
+            self.derivations += 1
             if self._relation(rule.indicator).add(fact):
                 next_delta.append(fact)
             return
@@ -557,7 +418,7 @@ class BottomUpEngine:
             # negation-as-failure against frozen lower-stratum relations:
             # succeeds iff the (renamed) inner goal has no solution, and
             # binds nothing either way
-            stats.neg_checks += 1
+            self.neg_checks += 1
             if not self._neg_exists(
                 _flatten_body(literal.args[0]), 0, subst, rule.line
             ):
@@ -570,7 +431,6 @@ class BottomUpEngine:
                     delta_position,
                     delta_keys,
                     next_delta,
-                    stats,
                 )
             return
         if _is_builtin(lit_ind):
@@ -584,7 +444,6 @@ class BottomUpEngine:
                     delta_position,
                     delta_keys,
                     next_delta,
-                    stats,
                 )
             return
         relation = self.relations.get(lit_ind)
@@ -604,7 +463,6 @@ class BottomUpEngine:
                     delta_position,
                     delta_keys,
                     next_delta,
-                    stats,
                 )
 
     def _neg_exists(self, literals, position, subst: Subst, line: int) -> bool:

@@ -1,17 +1,11 @@
-"""Two-level parallel evaluation: SCC component threading + corpus fan-out.
+"""Corpus-level parallel evaluation: whole-file analyses across processes.
 
-**Level 1 — intra-program** (:mod:`repro.parallel.scheduler`): a
-Kahn-style ready-set scheduler over the dependency condensation lets
-:class:`~repro.engine.bottomup.BottomUpEngine` evaluate independent
-SCC components on a thread pool (``max_workers``), with results
-bit-for-bit identical to the serial walk.  Under the GIL this is a
-latency/correctness layer, not a throughput one.
-
-**Level 2 — corpus** (:mod:`repro.parallel.corpus`): whole-file
-analyses fan out across processes (:func:`map_corpus`), which is where
-multi-core throughput comes from; per-worker metrics snapshots are
-folded back into the session observer so the merged registry equals a
-serial run's.
+:func:`map_corpus` (:mod:`repro.parallel.corpus`) fans whole-file
+analyses out across worker processes, which is where multi-core
+throughput comes from; per-worker metrics snapshots are folded back
+into the session observer so the merged registry equals a serial
+run's.  Within one program the bottom-up engine walks the dependency
+condensation serially (:mod:`repro.engine.bottomup`).
 """
 
 from repro.parallel.corpus import (
@@ -20,20 +14,10 @@ from repro.parallel.corpus import (
     map_corpus,
     resolve_jobs,
 )
-from repro.parallel.scheduler import (
-    ConcurrencyProbe,
-    ScheduleError,
-    condensation_profile,
-    run_condensation_schedule,
-)
 
 __all__ = [
     "TASKS",
-    "ConcurrencyProbe",
     "CorpusResult",
-    "ScheduleError",
-    "condensation_profile",
     "map_corpus",
     "resolve_jobs",
-    "run_condensation_schedule",
 ]

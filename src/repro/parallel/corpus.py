@@ -1,10 +1,9 @@
 """Process-level corpus fan-out: whole-file analyses across cores.
 
-Intra-program component threading (:mod:`repro.parallel.scheduler`) is
-a correctness/latency layer — under the GIL it cannot add CPU
-throughput.  Multi-core throughput on the hot corpus paths (linting a
-tree of files, a groundness/strictness/depth-k sweep, the benchmark
-harness) comes from here: :func:`map_corpus` runs one whole-file
+Under the GIL, threads inside one analysis cannot add CPU throughput,
+so multi-core throughput on the hot corpus paths (linting a tree of
+files, a groundness/strictness/depth-k sweep, the benchmark harness)
+comes from here: :func:`map_corpus` runs one whole-file
 analysis per task in a :class:`~concurrent.futures.ProcessPoolExecutor`
 and returns per-file results *in input order*, so output and exit
 codes are identical whatever the worker count.

@@ -2,8 +2,9 @@
 
 What makes the daemon worth keeping alive: a resubmitted file whose
 clauses did not change is answered from memory.  Keys are *semantic*,
-not textual — each predicate's clause list is fingerprinted by the
-:func:`~repro.terms.variant.variant_key` of its clauses, so renaming
+not textual — each component's clauses are fingerprinted by
+:func:`~repro.analysis.depgraph.component_clause_keys` (the
+:func:`~repro.terms.variant.variant_key` of every clause), so renaming
 variables, reordering predicates, or editing comments does not miss
 the cache (the same variant discipline XSB uses for its call tables).
 
@@ -25,10 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.depgraph import DependencyGraph
+from repro.analysis.depgraph import DependencyGraph, component_clause_keys
 from repro.prolog.program import Program
-from repro.terms.term import Struct
-from repro.terms.variant import variant_key
 
 #: component identity stable across edits: the set of its predicates
 ComponentId = frozenset
@@ -56,13 +55,10 @@ def fingerprint_program(program: Program) -> Fingerprint:
     graph = DependencyGraph(program)
     sccs = graph.sccs()
     ids = [ComponentId(component) for component in sccs]
-    components = {}
-    for cid, component in zip(ids, sccs):
-        keys = []
-        for indicator in sorted(component):
-            for clause in program.clauses_for(indicator):
-                keys.append(variant_key(Struct(":-", (clause.head, clause.body))))
-        components[cid] = tuple(keys)
+    components = {
+        cid: component_clause_keys(program, component)
+        for cid, component in zip(ids, sccs)
+    }
     edges = graph.condensation_edges()
     depends_on = {
         ids[caller]: {ids[callee] for callee in callees}

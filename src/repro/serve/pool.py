@@ -61,8 +61,17 @@ class WorkerCorrupt(WorkerFailure):
 WORKER_SPAN_LIMIT = 512
 
 
-def _worker_main(conn) -> None:
-    """Child process loop: execute one task per message until EOF/None."""
+def _worker_main(conn, supervisor_conn) -> None:
+    """Child process loop: execute one task per message until EOF/None.
+
+    ``supervisor_conn`` is the supervisor's end of this worker's pipe,
+    which a forked child inherits.  It is closed first thing, so that
+    ``conn.recv`` sees EOF as soon as the supervisor process is gone,
+    even when it died without closing the pool.  A worker also holds
+    the supervisor ends of the workers forked before it, so after such
+    a death the pool unwinds newest first.
+    """
+    supervisor_conn.close()
     from repro.obs import Observer, Tracer, TraceContext, use_observer
     from repro.obs.distributed import process_label
     from repro.parallel.corpus import TASKS
@@ -129,7 +138,7 @@ class _Worker:
         self.id = next(self._ids)
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_worker_main, args=(child_conn,), daemon=True,
+            target=_worker_main, args=(child_conn, self.conn), daemon=True,
             name=f"repro-serve-worker-{self.id}",
         )
         self.process.start()

@@ -42,12 +42,6 @@ def test_negation_against_completed_lower_stratum():
     }
 
 
-def test_negation_same_answers_parallel():
-    serial = facts_of(REACH, "unreachable", 1)
-    for workers in (2, 4):
-        assert facts_of(REACH, "unreachable", 1, max_workers=workers) == serial
-
-
 def test_negation_with_builtins_and_conjunction():
     source = """
     num(1). num(2). num(3). num(4).
@@ -95,6 +89,28 @@ def test_three_strata():
     """
     assert facts_of(source, "s", 1) == {"s(1)", "s(3)"}
     assert facts_of(source, "u", 1) == {"u(2)"}
+
+
+def test_independent_components_in_each_stratum():
+    source = """
+    p(1). p(2). p(3). q(2). q(4). r(3). r(5).
+    s(X) :- p(X), \\+ q(X).
+    t(X) :- p(X), \\+ r(X).
+    u(X) :- p(X), \\+ s(X), \\+ t(X).
+    v(X) :- q(X), \\+ p(X).
+    """
+    assert facts_of(source, "s", 1) == {"s(1)", "s(3)"}
+    assert facts_of(source, "t", 1) == {"t(1)", "t(2)"}
+    assert facts_of(source, "u", 1) == set()
+    assert facts_of(source, "v", 1) == {"v(4)"}
+
+
+def test_negation_inside_negated_conjunction():
+    source = """
+    a(1). a(2). a(3). b(2). c(3).
+    f(X) :- a(X), \\+ (b(X), \\+ c(X)).
+    """
+    assert facts_of(source, "f", 1) == {"f(1)", "f(3)"}
 
 
 def test_strata_recorded_on_engine():

@@ -7,7 +7,15 @@ from repro.core.groundness import abstract_program
 from repro.engine.bottomup import BottomUpEngine
 from repro.engine.builtins import PrologError
 from repro.magic.magic import magic_answers, magic_transform
+from repro.obs import Observer, use_observer
 from repro.prolog import load_program, parse_term
+from repro.runtime.budget import (
+    Budget,
+    Cancelled,
+    DeadlineExceeded,
+    ResourceGovernor,
+)
+from repro.runtime.faultinject import FaultInjector
 from repro.terms import term_to_str, variant_key
 
 GRAPH = """
@@ -115,6 +123,62 @@ def test_round_budget_still_enforced():
         BottomUpEngine(load_program(src), max_rounds=5, scc=True).evaluate()
     with pytest.raises(PrologError, match="round budget"):
         BottomUpEngine(load_program(src), max_rounds=5, scc=False).evaluate()
+
+
+def test_scc_gauges_set():
+    source = """
+    n(1). n(2).
+    p(X) :- n(X), q(X).
+    q(X) :- n(X).
+    q(X) :- p(X).
+    r(X) :- q(X).
+    """
+    observer = Observer()
+    with use_observer(observer):
+        engine = BottomUpEngine(load_program(source)).evaluate()
+    gauges = observer.registry.gauges
+    assert engine.scc_count == 3  # n, {p, q}, r
+    assert gauges["engine.scc.components"].value == 3
+    assert gauges["engine.scc.largest_component"].value == 2
+
+
+# Two recursive components that only share a base relation.
+TWO_TOWERS = """
+num(z). num(s(z)). num(s(s(z))). num(s(s(s(z)))). num(s(s(s(s(z))))).
+up(X, X) :- num(X).
+up(X, s(Y)) :- up(X, Y), num(s(Y)).
+down(X, X) :- num(X).
+down(s(X), Y) :- down(X, Y), num(X).
+"""
+
+
+def test_budget_trip_mid_evaluation_reports_spend_and_ends_spans():
+    governor = ResourceGovernor(
+        Budget(), fault=FaultInjector(event="rounds", at=3, kind="deadline")
+    )
+    observer = Observer()
+    with use_observer(observer):
+        engine = BottomUpEngine(load_program(TWO_TOWERS), governor=governor)
+        with pytest.raises(DeadlineExceeded):
+            engine.evaluate()
+    spans = observer.tracer.spans()
+    (span,) = [s for s in spans if s.name == "engine.bottomup.evaluate"]
+    assert span.status == "exhausted"
+    trips = [e for e in span.events if e["name"] == "resource_exhausted"]
+    assert trips and trips[0]["kind"] == "deadline"
+    assert all(s.end is not None for s in spans)
+    # the counters live on the engine, so the tripped run reports its spend
+    assert engine.rounds >= 1
+    assert engine.rounds == governor.spent["rounds"] == span.attrs["rounds"]
+    assert observer.registry.counter("engine.bottomup.rounds").value == engine.rounds
+
+
+def test_cancelled_governor_trips_run():
+    governor = ResourceGovernor(Budget())
+    governor.cancel()
+    engine = BottomUpEngine(load_program(TWO_TOWERS), governor=governor)
+    with pytest.raises(Cancelled):
+        engine.evaluate()
 
 
 def test_holds_is_mode_independent():

@@ -1,306 +1,32 @@
-"""The parallel evaluation layer: scheduler, engine determinism, fan-out.
+"""Corpus fan-out, the metrics fold across processes, the key memo.
 
-Three things have to hold for ``max_workers`` to be safe to turn on:
-
-* the ready-set scheduler honours every condensation edge (a component
-  runs only after all its callees completed) and actually overlaps
-  independent components;
-* the engine produces *bit-for-bit* the same fact stores and work
-  counters for any worker count — the determinism guarantee README
-  advertises;
-* a budget trip in one worker cancels its siblings cooperatively and
-  the surfaced error is the original trip, with every open span still
-  flushed well-formed.
-
-Plus the corpus level: ``map_corpus`` payloads and merged metrics must
-be independent of the process count, and the ``--jobs`` CLI path must
-emit byte-identical output.
+``map_corpus`` payloads and merged metrics must be independent of the
+process count, the ``--jobs`` CLI path must emit byte-identical output,
+and ``MetricsRegistry.merge_snapshot`` must fold every instrument kind.
+The ``variant_key`` ground-term memo must never cache a key that
+depends on variables or on a substitution.  A stratified program's
+bottom-up evaluation must come out the same in any worker process.
 """
 
-import threading
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.cli import main as lint_main
-from repro.benchdata.loader import load_prolog_benchmark
-from repro.core.groundness import abstract_program
-from repro.engine.bottomup import BottomUpEngine
-from repro.magic.magic import magic_transform
-from repro.obs import Observer, use_observer
+from repro.engine.bottomup import BottomUpEngine, UnstratifiedProgramError
+from repro.obs import Observer
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import (
-    ConcurrencyProbe,
-    ScheduleError,
-    condensation_profile,
-    map_corpus,
-    resolve_jobs,
-    run_condensation_schedule,
-)
+from repro.parallel import map_corpus, resolve_jobs
 from repro.prolog import load_program
-from repro.runtime.budget import (
-    Budget,
-    Cancelled,
-    DeadlineExceeded,
-    ResourceGovernor,
-)
-from repro.runtime.faultinject import FaultInjector
 from repro.terms import variant_key
 from repro.terms.subst import EMPTY_SUBST
 from repro.terms.term import Struct, fresh_var
 
 # ----------------------------------------------------------------------
-# Scheduler
-
-
-def test_schedule_respects_dependencies():
-    # diamond over a tail: 0 <- 1, 0 <- 2, {1,2} <- 3, 3 <- 4
-    edges = {1: {0}, 2: {0}, 3: {1, 2}, 4: {3}}
-    completed = set()
-    lock = threading.Lock()
-    seen_complete = {}
-
-    def run(position):
-        with lock:
-            seen_complete[position] = set(completed)
-        with lock:
-            completed.add(position)
-
-    run_condensation_schedule(5, edges, run, max_workers=4)
-    assert completed == {0, 1, 2, 3, 4}
-    for caller, callees in edges.items():
-        assert callees <= seen_complete[caller], (
-            f"component {caller} started before {callees}"
-        )
-
-
-def test_schedule_overlaps_independent_components():
-    """Two independent components must be in flight together."""
-    first_two = threading.Barrier(2, timeout=10)
-
-    def run(position):
-        if position in (0, 1):  # both are sources: schedulable at once
-            first_two.wait()
-
-    probe = ConcurrencyProbe(run)
-    run_condensation_schedule(3, {2: {0, 1}}, probe, max_workers=2)
-    assert probe.peak >= 2
-    assert set(probe.order) == {0, 1, 2}
-    assert probe.order[2] == 2  # the dependent component goes last
-
-
-def test_schedule_serial_worker_is_deterministic_order():
-    probe = ConcurrencyProbe(lambda position: None)
-    run_condensation_schedule(4, {3: {1}, 1: {0}}, probe, max_workers=1)
-    assert probe.peak == 1
-    # ready components dispatch in index order; each unblocks its caller
-    assert probe.order == [0, 2, 1, 3]
-
-
-def test_schedule_rejects_cycles():
-    with pytest.raises(ScheduleError):
-        run_condensation_schedule(2, {0: {1}, 1: {0}}, lambda p: None, 2)
-    with pytest.raises(ScheduleError):
-        run_condensation_schedule(1, {0: {0}}, lambda p: None, 2)
-    # a cycle hanging off a valid source must not deadlock either
-    with pytest.raises(ScheduleError):
-        run_condensation_schedule(3, {1: {2}, 2: {1}}, lambda p: None, 2)
-
-
-def test_schedule_propagates_worker_error_and_aborts():
-    aborts = []
-    dispatched = []
-
-    def run(position):
-        dispatched.append(position)
-        if position == 0:
-            raise ValueError("component 0 failed")
-
-    with pytest.raises(ValueError, match="component 0 failed"):
-        run_condensation_schedule(
-            3, {1: {0}, 2: {1}}, run, max_workers=1,
-            on_abort=lambda: aborts.append(True),
-        )
-    assert aborts == [True]
-    # nothing downstream of the failure was dispatched
-    assert dispatched == [0]
-
-
-def test_schedule_prefers_real_trip_over_cancellations():
-    """Induced sibling cancellations never mask the original error."""
-
-    def run(position):
-        if position == 2:
-            raise DeadlineExceeded("deadline", spent=1, limit=1)
-        raise Cancelled("cancelled")
-
-    with pytest.raises(DeadlineExceeded):
-        run_condensation_schedule(3, {}, run, max_workers=3)
-
-
-def test_condensation_profile_shapes():
-    assert condensation_profile(0, {}) == {
-        "components": 0, "levels": 0, "width": 0, "sources": 0,
-    }
-    # chain: 3 levels of width 1
-    chain = condensation_profile(3, {1: {0}, 2: {1}})
-    assert (chain["levels"], chain["width"], chain["sources"]) == (3, 1, 1)
-    # diamond: middle level has width 2
-    diamond = condensation_profile(4, {1: {0}, 2: {0}, 3: {1, 2}})
-    assert (diamond["levels"], diamond["width"], diamond["sources"]) == (3, 2, 1)
-    # fully independent: one level as wide as the graph
-    flat = condensation_profile(4, {})
-    assert (flat["levels"], flat["width"], flat["sources"]) == (1, 4, 4)
-
-
-# ----------------------------------------------------------------------
-# Engine determinism: identical stores and counters for any worker count
-
-
-def engine_fingerprint(engine: BottomUpEngine):
-    engine.evaluate()
-    return (
-        {
-            indicator: [variant_key(f) for f in relation.facts]
-            for indicator, relation in engine.relations.items()
-        },
-        engine.rounds,
-        engine.rule_firings,
-        engine.derivations,
-        engine.scc_count,
-    )
-
-
-@pytest.mark.parametrize(
-    "name", ["qsort", "queens", "pg", "plan", "disj", "gabriel"]
-)
-def test_workers_are_bit_for_bit_deterministic(name):
-    """The property the README promises: stores, fact *order* and the
-    rounds/rule_firings/derivations totals are identical for serial and
-    any ``max_workers``."""
-    abstract, _info = abstract_program(load_prolog_benchmark(name))
-    serial = engine_fingerprint(BottomUpEngine(abstract))
-    for workers in (1, 2, 4):
-        parallel = engine_fingerprint(
-            BottomUpEngine(abstract, max_workers=workers)
-        )
-        assert parallel == serial, f"max_workers={workers} diverged on {name}"
-
-
-def test_workers_deterministic_on_magic_program():
-    abstract, info = abstract_program(load_prolog_benchmark("qsort"))
-    magic, _query = magic_transform(abstract, info.entry_points[0])
-    serial = engine_fingerprint(BottomUpEngine(magic))
-    parallel = engine_fingerprint(BottomUpEngine(magic, max_workers=4))
-    assert parallel == serial
-
-
-def test_parallel_engine_prunes_empty_precreated_relations():
-    # r/1 never derives: serial stores no relation for it, and the
-    # parallel path must prune the one it pre-created for the rule head
-    src = "a(1).\nb(X) :- a(X).\nunmatched(2).\nr(X) :- unmatched(X), a(X), X = 1."
-    serial = BottomUpEngine(load_program(src))
-    parallel = BottomUpEngine(load_program(src), max_workers=4)
-    serial.evaluate(), parallel.evaluate()
-    assert set(serial.relations) == set(parallel.relations)
-    assert ("r", 1) not in parallel.relations
-
-
-def test_condensation_profile_exposed_and_metered():
-    observer = Observer()
-    with use_observer(observer):
-        engine = BottomUpEngine(
-            load_program("a(1). b(X) :- a(X). c(X) :- b(X)."), max_workers=2
-        ).evaluate()
-    profile = engine.condensation
-    assert profile["components"] == engine.scc_count == 3
-    assert profile["largest_component"] == 1
-    gauges = observer.registry.gauges
-    assert gauges["engine.scc.condensation_width"].value == profile["width"]
-    assert gauges["engine.scc.largest_component"].value == 1
-    assert gauges["engine.scc.components"].value == 3
-
-
-# Two recursive components that only share a base relation, so they are
-# independent in the condensation and run on separate workers.
-TWO_TOWERS = """
-num(z). num(s(z)). num(s(s(z))). num(s(s(s(z)))). num(s(s(s(s(z))))).
-up(X, X) :- num(X).
-up(X, s(Y)) :- up(X, Y), num(s(Y)).
-down(X, X) :- num(X).
-down(s(X), Y) :- down(X, Y), num(X).
-"""
-
-
-def test_cancellation_aborts_siblings_and_flushes_spans():
-    """A ``DeadlineExceeded`` in one worker cancels the others via the
-    governor, surfaces as *the* error (not a masking ``Cancelled``),
-    and the tracer still flushes every span well-formed."""
-    governor = ResourceGovernor(
-        Budget(), fault=FaultInjector(event="rounds", at=3, kind="deadline")
-    )
-    observer = Observer()
-    with use_observer(observer):
-        engine = BottomUpEngine(
-            load_program(TWO_TOWERS), governor=governor, max_workers=4
-        )
-        with pytest.raises(DeadlineExceeded):
-            engine.evaluate()
-    assert governor.cancelled  # on_abort ran: siblings were told to stop
-    spans = observer.tracer.spans()
-    evaluate_spans = [s for s in spans if s.name == "engine.bottomup.evaluate"]
-    assert len(evaluate_spans) == 1
-    assert evaluate_spans[0].status == "exhausted"
-    trip_events = [
-        e for e in evaluate_spans[0].events if e["name"] == "resource_exhausted"
-    ]
-    assert trip_events and trip_events[0]["kind"] == "deadline"
-    assert all(span.end is not None for span in spans)
-    # partial work still folded, so the exhausted run reports its spend
-    assert engine.rounds >= 1
-
-
-def test_cancelled_governor_trips_parallel_run():
-    governor = ResourceGovernor(Budget())
-    governor.cancel()
-    engine = BottomUpEngine(
-        load_program(TWO_TOWERS), governor=governor, max_workers=2
-    )
-    with pytest.raises(Cancelled):
-        engine.evaluate()
-
-
-# ----------------------------------------------------------------------
-# Governor thread-safety
-
-
-def test_make_thread_safe_charges_exactly():
-    governor = ResourceGovernor(Budget())
-    governor.make_thread_safe()
-    governor.make_thread_safe()  # idempotent
-
-    def worker():
-        for _ in range(1000):
-            governor.charge("steps")
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert governor.spent["steps"] == 4000
-
-
-def test_locked_governor_still_trips_limits():
-    governor = ResourceGovernor(Budget(rounds=2))
-    governor.make_thread_safe()
-    governor.charge("rounds")
-    governor.charge("rounds")
-    with pytest.raises(Exception, match="round budget"):
-        governor.charge("rounds")
-
-
-# ----------------------------------------------------------------------
-# variant_key memoization (satellite: ground-term caching)
+# variant_key memoization (ground-term caching)
 
 
 def test_variant_key_caches_ground_structs():
@@ -556,7 +282,7 @@ def test_merge_snapshot_respects_event_bound():
 
 
 # ----------------------------------------------------------------------
-# Stratum barriers: negation-bearing programs under max_workers=N
+# Stratified programs: the same evaluation in every worker process
 
 
 STRATIFIED_PROGRAMS = {
@@ -584,86 +310,86 @@ STRATIFIED_PROGRAMS = {
     """,
 }
 
+UNSTRATIFIED = "move(a,b). move(b,a).\nwin(X) :- move(X,Y), \\+ win(Y)."
 
-def negation_fingerprint(engine: BottomUpEngine):
-    fingerprint = engine_fingerprint(engine)
-    return fingerprint + (engine.neg_checks,)
+#: string-hash seeds of the worker interpreters; 0 turns hashing
+#: randomization off, the others pick fixed randomized orders
+WORKER_HASH_SEEDS = (0, 1, 2)
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def stratified_fingerprint(source: str):
+    """Stores, fact order and every work counter of one bottom-up
+    evaluation, or the rule and predicates of its rejection."""
+    engine = BottomUpEngine(load_program(source))
+    try:
+        engine.evaluate()
+    except UnstratifiedProgramError as error:
+        return (
+            "rejected",
+            error.rule,
+            [diagnostic.predicate for diagnostic in error.diagnostics],
+        )
+    return (
+        {
+            indicator: [variant_key(fact) for fact in relation.facts]
+            for indicator, relation in engine.relations.items()
+        },
+        engine.rounds,
+        engine.rule_firings,
+        engine.derivations,
+        engine.scc_count,
+        engine.neg_checks,
+    )
+
+
+def worker_fingerprint(source: str, hash_seed: int) -> str:
+    """``repr`` of :func:`stratified_fingerprint` computed in a fresh
+    interpreter with its own string-hash seed, as a spawned corpus
+    worker would compute it."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "from tests.test_parallel import stratified_fingerprint\n"
+            "print(repr(stratified_fingerprint(sys.stdin.read())))",
+        ],
+        input=source,
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ,
+             "PYTHONPATH": str(REPO_ROOT / "src"),
+             "PYTHONHASHSEED": str(hash_seed)},
+        timeout=60,
+        check=True,
+    )
+    return completed.stdout.strip()
 
 
 @pytest.mark.parametrize("name", sorted(STRATIFIED_PROGRAMS))
 def test_stratified_workers_are_bit_for_bit_deterministic(name):
-    """Stratum-barriered parallel evaluation of ``\\+``-bearing programs
-    matches the serial walk exactly: stores, fact order, and every work
-    counter including the negation checks."""
-    program = load_program(STRATIFIED_PROGRAMS[name])
-    serial = negation_fingerprint(BottomUpEngine(program))
-    for workers in (2, 4, 8):
-        parallel = negation_fingerprint(
-            BottomUpEngine(
-                load_program(STRATIFIED_PROGRAMS[name]), max_workers=workers
-            )
-        )
-        assert parallel == serial, f"max_workers={workers} diverged on {name}"
-
-
-def test_stratified_schedule_enforces_stratum_barrier():
-    """No stratum-1 component may start before every stratum-0 one is
-    done, even with no condensation edges between them."""
-    from repro.parallel.scheduler import run_stratified_schedule
-
-    strata = [0, 0, 0, 1, 1, 2]
-    completed = []
-    lock = threading.Lock()
-    started_with = {}
-
-    def run(position):
-        with lock:
-            started_with[position] = set(completed)
-        with lock:
-            completed.append(position)
-
-    run_stratified_schedule(6, {}, strata, run, max_workers=4)
-    assert sorted(completed) == [0, 1, 2, 3, 4, 5]
-    for position, done in started_with.items():
-        lower = {
-            other
-            for other in range(6)
-            if strata[other] < strata[position]
-        }
-        assert lower <= done, (
-            f"component {position} (stratum {strata[position]}) started "
-            f"before lower strata completed: had {done}"
-        )
-
-
-def test_stratified_schedule_uniform_strata_degenerates():
-    order = []
-    from repro.parallel.scheduler import run_stratified_schedule
-
-    run_stratified_schedule(
-        3, {1: {0}, 2: {1}}, [0, 0, 0], order.append, max_workers=1
-    )
-    assert order == [0, 1, 2]
-    order.clear()
-    run_stratified_schedule(
-        3, {1: {0}, 2: {1}}, None, order.append, max_workers=1
-    )
-    assert order == [0, 1, 2]
-
-
-def test_stratified_schedule_rejects_upward_dependency():
-    from repro.parallel.scheduler import run_stratified_schedule
-
-    with pytest.raises(ScheduleError, match="higher stratum"):
-        run_stratified_schedule(
-            2, {0: {1}}, [0, 1], lambda i: None, max_workers=2
-        )
+    """A ``\\+``-bearing program evaluates to the same stores, fact
+    order and work counters (negation checks included) in this process
+    and in worker processes with other string-hash seeds, so a corpus
+    sweep's answers cannot depend on which worker ran the file."""
+    serial = stratified_fingerprint(STRATIFIED_PROGRAMS[name])
+    assert serial[0] != "rejected"
+    for seed in WORKER_HASH_SEEDS:
+        assert worker_fingerprint(STRATIFIED_PROGRAMS[name], seed) == repr(
+            serial
+        ), f"worker with PYTHONHASHSEED={seed} diverged on {name}"
 
 
 def test_unstratified_program_rejected_any_worker_count():
-    from repro.engine.bottomup import UnstratifiedProgramError
-
-    source = "move(a,b). move(b,a).\nwin(X) :- move(X,Y), \\+ win(Y)."
-    for workers in (1, 4):
-        with pytest.raises(UnstratifiedProgramError, match="unstratified-negation"):
-            BottomUpEngine(load_program(source), max_workers=workers).evaluate()
+    with pytest.raises(UnstratifiedProgramError, match="unstratified-negation"):
+        BottomUpEngine(load_program(UNSTRATIFIED)).evaluate()
+    serial = stratified_fingerprint(UNSTRATIFIED)
+    assert serial[:2] == ("rejected", "unstratified-negation")
+    assert serial[2]  # the offending predicates are named
+    for seed in WORKER_HASH_SEEDS:
+        assert worker_fingerprint(UNSTRATIFIED, seed) == repr(serial), (
+            f"worker with PYTHONHASHSEED={seed} rejected differently"
+        )

@@ -5,7 +5,14 @@ module-scoped daemon fixture; everything else — protocol validation,
 fingerprinting, cache invalidation — is pure and fast.
 """
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +219,54 @@ def test_pool_reports_analysis_errors_as_records(pool):
     record = pool.submit(7, "depthk", "no-such-file.pl", {}, deadline=30.0)
     assert record["error"] is not None
     assert "FileNotFoundError" in record["error"]
+
+
+#: builds a daemon, prints its worker pids, and dies without closing it
+ORPHANING_DAEMON = """
+import os
+from repro.serve import AnalysisDaemon
+daemon = AnalysisDaemon(pool_size=2)
+print(*(worker.process.pid for worker in daemon.pool._workers), flush=True)
+os._exit(0)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads worker states from /proc")
+def test_workers_exit_when_daemon_dies_without_closing_pool(tmp_path):
+    stdout = tmp_path / "stdout.txt"
+    with open(stdout, "w") as sink:
+        subprocess.run(
+            [sys.executable, "-c", ORPHANING_DAEMON],
+            stdout=sink,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+            timeout=60,
+            check=True,
+        )
+    pids = [int(pid) for pid in stdout.read_text().split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)], (
+            "serve workers outlived their daemon"
+        )
+    finally:
+        for pid in pids:
+            if _running(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # ----------------------------------------------------------------------
