@@ -367,8 +367,8 @@ class PredicateGroundness:
     call_patterns: list[tuple]
     answer_count: int
     #: per-table view: one ``(pattern, success)`` pair per recorded
-    #: table (demanded calls plus the synthetic open call), the success
-    #: function restricted to that call's answers
+    #: table (the demanded calls, plus the open call once a query has
+    #: needed it), the success function restricted to that call's answers
     tables: list[tuple[tuple, PropFunction]] = field(default_factory=list)
     #: parallel to :attr:`tables`: the table's *claim pattern* — ``True``
     #: /``None`` per argument when the call subsumes every concrete call
@@ -403,23 +403,26 @@ class PredicateGroundness:
         every applicable table yields the *same* conditioned set — so
         the whole-program and summary backends agree wherever both
         have an applicable table.  With no applicable table nothing is
-        claimed.
+        claimed (:meth:`GroundnessResult.ground_on_success_for` solves
+        the open call first, so that there is one).
         """
         if not self.tables or self.claims is None:
             return tuple(False for _ in range(self.arity))
         ground = [False] * self.arity
         query = tuple(value is True for value in pattern)
         for (_, success), claim in zip(self.tables, self.claims):
-            if claim is None or len(claim) != len(query):
+            if not _claim_applies(claim, query):
                 continue
-            boundness = tuple(value is True for value in claim)
-            if any(t and not q for t, q in zip(boundness, query)):
-                continue  # table call more bound than the query: skip
             instantiated = success.assume(query)
             for index, definite in enumerate(instantiated.definitely_true()):
                 if definite:
                     ground[index] = True
         return tuple(ground)
+
+    def answers_pattern(self, pattern: tuple) -> bool:
+        """Whether some recorded table may answer ``pattern`` at all."""
+        query = tuple(value is True for value in pattern)
+        return any(_claim_applies(claim, query) for claim in self.claims or ())
 
     @property
     def ground_at_call(self) -> tuple:
@@ -445,6 +448,10 @@ class GroundnessResult:
     ``table_completeness`` flags, per predicate, whether its tables
     ran to completion — partial (degraded) results are still sound
     over-approximations, just less precise.
+
+    ``stats``, ``table_space`` and ``times`` describe the entry-directed
+    run (the paper's Table 1 columns); open calls solved later, on
+    demand, do not change them.
     """
 
     predicates: dict[Indicator, PredicateGroundness]
@@ -459,6 +466,23 @@ class GroundnessResult:
     #: which Prop representation produced the per-predicate functions
     #: (``"bdd"`` — the default — or the enumerative ``"enum"`` oracle)
     backend: str = "bdd"
+    #: the engine that ran the analysis (none for a ``top`` result), on
+    #: which open calls are solved when a query needs them
+    _engine: TabledEngine | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: the governor and ``bdd-widened`` node cap the tables were
+    #: collected under, so an open table is collected the same way
+    _collect_governor: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _widen_nodes: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: the budget trip of an on-demand solve; the engine is gone
+    _open_error: Exception | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def degraded(self) -> bool:
@@ -468,14 +492,64 @@ class GroundnessResult:
         """Per-call-pattern output groundness (the mode-checker query).
 
         Sound only when the predicate's tables ran to completion; a
-        degraded (partial) table set claims nothing.
+        degraded (partial) table set claims nothing.  When none of the
+        predicate's tables may answer ``pattern``, its open call is
+        solved first (:meth:`_solve_open`); a budget trip there raises
+        :class:`~repro.runtime.budget.ResourceExhausted`.
         """
         info = self.predicates.get(indicator)
         if info is None:
             return ()
         if not self.table_completeness.get(indicator, True):
             return tuple(False for _ in range(info.arity))
+        if len(pattern) == info.arity and not info.answers_pattern(pattern):
+            self._solve_open(info)
         return info.ground_on_success_for(pattern)
+
+    def _solve_open(self, info: PredicateGroundness) -> None:
+        """Table ``info``'s open call on the analysis engine, on demand.
+
+        Goal-directed evaluation tables only the calls the entry goals
+        reach; a pattern query none of them may answer needs the open
+        (goal-independent) table, which the summary backend
+        (:mod:`repro.analysis.summaries`) computes too.  Solving it on
+        the same engine reuses every completed callee table and charges
+        the governor the analysis ran under.  A trip leaves half-built
+        tables behind, so the engine is dropped and every later miss
+        re-raises the trip.
+        """
+        if self._open_error is not None:
+            raise self._open_error
+        engine = self._engine
+        if engine is None:
+            return
+        from repro.bdd.propfn import bdd_governed
+        from repro.obs.observer import get_observer
+        from repro.runtime.budget import ResourceExhausted
+
+        indicator = (info.name, info.arity)
+        goal = _open_goal(indicator)
+        backend = _predicate_backend(self.backend, info.arity)
+        obs = get_observer()
+        with obs.maybe_span(
+            "analysis.groundness.open", predicate=f"{info.name}/{info.arity}"
+        ):
+            if obs.enabled:
+                obs.registry.counter("analysis.groundness.open_solves").inc()
+            try:
+                engine.solve(goal)
+                table = engine.table_for(goal)
+                with bdd_governed(
+                    self._collect_governor if self.backend == "bdd" else None
+                ):
+                    fn = _table_function(
+                        table, info.arity, backend, self._widen_nodes
+                    )
+            except ResourceExhausted as exc:
+                self._engine, self._open_error = None, exc
+                raise
+        info.tables.append((_pattern(table.call, info.arity), fn))
+        info.claims.append(_claim_pattern(table.call, info.arity))
 
     @property
     def total_time(self) -> float:
@@ -566,7 +640,7 @@ def analyze_groundness(
     events: list = []
     try:
         with obs.maybe_span("analysis.groundness.stage", stage="exact"):
-            engine, demanded = _evaluate(db, info, goals, scheduling, gov)
+            engine = _evaluate(db, goals, scheduling, gov)
     except ResourceExhausted as exc:
         if not degrade:
             raise
@@ -575,9 +649,8 @@ def analyze_groundness(
         notify_degradation(event)
         try:
             with obs.maybe_span("analysis.groundness.stage", stage="widened"):
-                engine, demanded = _evaluate(
+                engine = _evaluate(
                     db,
-                    info,
                     goals,
                     scheduling,
                     gov.restarted(),
@@ -592,22 +665,22 @@ def analyze_groundness(
             events.append(event)
             notify_degradation(event)
             engine = None
-            demanded = {}
             completeness = "top"
     t2 = time.perf_counter()
 
     def predicate_backend(indicator: Indicator) -> str:
-        if backend == "enum" and indicator[1] > MAX_IFF_NVARS:
-            # the enumerative truth set would need 2^arity rows; route
-            # this predicate to the BDD representation automatically
+        chosen = _predicate_backend(backend, indicator[1])
+        if chosen != backend:
             info.warnings.append(
                 f"predicate {indicator[0]}/{indicator[1]} exceeds the "
                 f"enumeration cap ({MAX_IFF_NVARS}); using the BDD backend"
             )
-            return "bdd"
-        return backend
+        return chosen
 
-    def collect_all(stage_gov, widen_nodes):
+    # the governor and node cap the table functions are collected under
+    stage_gov, widen_nodes = gov, None
+
+    def collect_all():
         collected = {}
         complete = {}
         with bdd_governed(stage_gov if backend == "bdd" else None):
@@ -615,7 +688,6 @@ def analyze_groundness(
                 collected[indicator] = _collect(
                     engine,
                     indicator,
-                    demanded.get(indicator),
                     backend=predicate_backend(indicator),
                     widen_nodes=widen_nodes,
                 )
@@ -629,7 +701,7 @@ def analyze_groundness(
     with obs.maybe_span("analysis.groundness.collection"):
         if engine is not None:
             try:
-                predicates, table_completeness = collect_all(gov, None)
+                predicates, table_completeness = collect_all()
             except BddNodesExceeded as exc:
                 if not degrade:
                     raise
@@ -641,10 +713,9 @@ def analyze_groundness(
                 try:
                     # worst-case widening (Genaim/Howe/Codish): rebuild
                     # every table function with the definite-core cap
-                    predicates, table_completeness = collect_all(
-                        gov.restarted() if gov is not None else None,
-                        bdd_widen_nodes,
-                    )
+                    stage_gov = gov.restarted() if gov is not None else None
+                    widen_nodes = bdd_widen_nodes
+                    predicates, table_completeness = collect_all()
                     if completeness == "exact":
                         completeness = "bdd-widened"
                 except BddNodesExceeded as exc2:
@@ -676,7 +747,7 @@ def analyze_groundness(
         if completeness != "exact":
             registry.counter("analysis.groundness.degraded_runs").value += 1
 
-    return GroundnessResult(
+    result = GroundnessResult(
         predicates=predicates,
         times={
             "preprocess": t1 - t0,
@@ -692,15 +763,18 @@ def analyze_groundness(
         table_completeness=table_completeness,
         backend=backend,
     )
+    result._engine = engine
+    result._collect_governor, result._widen_nodes = stage_gov, widen_nodes
+    return result
 
 
-def _evaluate(db, info, goals, scheduling, governor, answer_join=None):
+def _evaluate(db, goals, scheduling, governor, answer_join=None):
     """One evaluation attempt (one ladder stage) over a fresh engine.
 
-    Returns ``(engine, demanded)`` where ``demanded`` maps each
-    indicator with at least one goal-directed table to the ids of those
-    tables — so collection can report *call* patterns from the demand
-    evaluation only, excluding the synthetic open tables added below.
+    Only the goals are solved: the tables are the calls they reach
+    (goal-directed, as the paper measures).  A predicate's open call is
+    tabled later, if a pattern query needs it
+    (:meth:`GroundnessResult._solve_open`).
     """
     engine = TabledEngine(
         db,
@@ -712,20 +786,7 @@ def _evaluate(db, info, goals, scheduling, governor, answer_join=None):
     )
     for goal in goals:
         engine.solve(goal)
-    demanded: dict[Indicator, set[int]] = {}
-    for indicator in info.predicates:
-        demanded[indicator] = {
-            id(table) for table in _tables_for(engine, indicator)
-        }
-    # Every predicate also gets its *open* (goal-independent) table:
-    # :meth:`PredicateGroundness.ground_on_success_for` instantiates it
-    # at arbitrary call patterns, and the summary backend
-    # (:mod:`repro.analysis.summaries`) computes exactly this table —
-    # sharing it makes the two backends agree by construction.  Open
-    # calls already solved (or variant-subsumed) cost nothing extra.
-    for indicator in info.predicates:
-        engine.solve(_open_goal(indicator))
-    return engine, demanded
+    return engine
 
 
 def _open_goal(indicator: Indicator) -> Term:
@@ -743,84 +804,89 @@ def _tables_for(engine: TabledEngine, indicator: Indicator):
 def _collect(
     engine: TabledEngine,
     indicator: Indicator,
-    demanded_ids: set[int] | None = None,
     backend: str = "enum",
     widen_nodes: int | None = None,
 ) -> PredicateGroundness:
     """Combine a predicate's table answers into a result record.
 
-    ``demanded_ids`` names the tables created by the goal-directed
-    evaluation; only those contribute *call* patterns (input modes) and
-    the aggregate success/answer-count view, so entry-directed results
-    reflect the demanded computation, not the synthetic open calls.
-    ``None`` means every table was demanded (entry-less analysis).  All
-    tables — including the synthetic open one — contribute per-table
-    pattern-query claims.
-
-    ``backend="bdd"`` builds each table's function symbolically from
-    its answer terms (:meth:`~repro.bdd.propfn.BddPropFunction.from_answers`)
-    — polynomial in the answer count, where the enumerative path
-    expands 2^(free vars) rows per answer.  ``widen_nodes`` (the
-    ``bdd-widened`` ladder stage) applies worst-case widening to any
-    table function past that node count.
+    Every table contributes its call pattern (input modes), its answers
+    to the aggregate success function, and a per-table function with
+    its claim pattern for pattern queries (:func:`_table_function`).
     """
     name, arity = indicator
+    success = prop_function_class(backend).bottom(arity)
     calls: list[tuple] = []
     tables: list = []
     claims: list = []
     answer_count = 0
-    if backend == "bdd":
-        from repro.bdd.propfn import BddPropFunction
-        from repro.runtime.degrade import worst_case_widen
-
-        success = BddPropFunction.bottom(arity)
-        for table in _tables_for(engine, indicator):
-            pattern = _pattern(table.call, arity)
-            demanded = demanded_ids is None or id(table) in demanded_ids
-            if demanded:
-                calls.append(pattern)
-            claims.append(_claim_pattern(table.call, arity))
-            fn = BddPropFunction.from_answers(arity, table.answers)
-            if widen_nodes is not None:
-                fn = worst_case_widen(
-                    fn, widen_nodes, metric="analysis.groundness.bdd_widenings"
-                )
-            tables.append((pattern, fn))
-            if demanded:
-                answer_count += sum(1 for _ in table.answers)
-                success = success.join(fn)
-        return PredicateGroundness(
-            name=name,
-            arity=arity,
-            success=success,
-            call_patterns=calls,
-            answer_count=answer_count,
-            tables=tables,
-            claims=claims,
-        )
-    rows: set[tuple] = set()
     for table in _tables_for(engine, indicator):
         pattern = _pattern(table.call, arity)
-        demanded = demanded_ids is None or id(table) in demanded_ids
-        if demanded:
-            calls.append(pattern)
+        fn = _table_function(table, arity, backend, widen_nodes)
+        calls.append(pattern)
+        tables.append((pattern, fn))
         claims.append(_claim_pattern(table.call, arity))
-        table_rows: set[tuple] = set()
-        for answer in table.answers:
-            if demanded:
-                answer_count += 1
-            table_rows.update(_expand(answer, arity))
-        tables.append((pattern, PropFunction(arity, table_rows)))
-        if demanded:
-            rows.update(table_rows)
+        answer_count += len(table.answers)
+        success = success.join(fn)
     return PredicateGroundness(
         name=name,
         arity=arity,
-        success=PropFunction(arity, rows),
+        success=success,
         call_patterns=calls,
         answer_count=answer_count,
         tables=tables,
         claims=claims,
+    )
+
+
+def _table_function(table, arity: int, backend: str, widen_nodes: int | None):
+    """One table's answers as a Prop function.
+
+    ``backend="bdd"`` builds the function symbolically from the answer
+    terms (:meth:`~repro.bdd.propfn.BddPropFunction.from_answers`) —
+    polynomial in the answer count, where the enumerative path expands
+    2^(free vars) rows per answer.  ``widen_nodes`` (the
+    ``bdd-widened`` ladder stage) applies worst-case widening to a
+    function past that node count.
+    """
+    if backend == "bdd":
+        from repro.bdd.propfn import BddPropFunction
+        from repro.runtime.degrade import worst_case_widen
+
+        fn = BddPropFunction.from_answers(arity, table.answers)
+        if widen_nodes is not None:
+            fn = worst_case_widen(
+                fn, widen_nodes, metric="analysis.groundness.bdd_widenings"
+            )
+        return fn
+    rows: set[tuple] = set()
+    for answer in table.answers:
+        rows.update(_expand(answer, arity))
+    return PropFunction(arity, rows)
+
+
+def _predicate_backend(backend: str, arity: int) -> str:
+    """The Prop representation of one predicate under ``backend``.
+
+    The enumerative truth set of a predicate wider than
+    :data:`MAX_IFF_NVARS` would need 2^arity rows, so such a predicate
+    uses the BDD representation even under ``"enum"``.
+    """
+    if backend == "enum" and arity > MAX_IFF_NVARS:
+        return "bdd"
+    return backend
+
+
+def _claim_applies(claim: tuple | None, query: tuple) -> bool:
+    """Whether a table with claim pattern ``claim`` may answer ``query``.
+
+    ``query`` is argument-wise ``True`` (known ground at the call) or
+    ``False``; the table's call must be unconstrained
+    (:func:`_claim_pattern`) and no more bound than the query.
+    """
+    return (
+        claim is not None
+        and len(claim) == len(query)
+        and not any(bound is True and not known for bound, known in zip(claim, query))
     )
 
 

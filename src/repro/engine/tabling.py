@@ -42,7 +42,7 @@ from repro.obs.observer import resolve_observer
 from repro.obs.registry import MetricsRegistry
 from repro.prolog.program import Program
 from repro.terms.subst import EMPTY_SUBST, Subst
-from repro.terms.term import Struct, Term, Var, term_to_str
+from repro.terms.term import Struct, Term, Var, printed_size, term_to_str
 from repro.terms.unify import match, unify
 from repro.terms.variant import canonical, rename_apart, variant_key
 
@@ -287,7 +287,10 @@ class TabledEngine:
         """Printed-size proxy for XSB's table space metric, in O(1).
 
         Bytes of the canonically printed calls and answers across all
-        tables (documented substitute for XSB's internal byte counts).
+        tables (documented substitute for XSB's internal byte counts),
+        with variables numbered within each term
+        (:func:`~repro.terms.term.printed_size`), so the figure depends
+        only on the tables, not on what the process ran before.
         The counter is maintained incrementally as tables and answers
         are created; :meth:`recompute_table_space_bytes` re-derives it
         from the tables for verification.
@@ -298,9 +301,9 @@ class TabledEngine:
         """Re-derive the table-space counter by full traversal (O(n))."""
         total = 0
         for table in self.tables.values():
-            total += len(term_to_str(table.call)) + 16
+            total += printed_size(table.call) + 16
             for answer in table.answers:
-                total += len(term_to_str(answer)) + 8
+                total += printed_size(answer) + 8
         return total
 
     # ------------------------------------------------------------------
@@ -466,7 +469,7 @@ class TabledEngine:
         self.tables[key] = table
         self.tables_by_pred.setdefault(table.indicator(), []).append(table)
         self._n_calls.value += 1
-        delta = len(term_to_str(call)) + 16
+        delta = printed_size(call) + 16
         self._table_bytes += delta
         if self.governor is not None:
             self.governor.tick_table_bytes(delta, call)
@@ -543,7 +546,7 @@ class TabledEngine:
             # first derivation wins; answers are append-only so the
             # (table key, index) premise references stay stable
             self.provenance[(table.key, key)] = prov
-        delta = len(term_to_str(answer)) + 8
+        delta = printed_size(answer) + 8
         self._table_bytes += delta
         if self.governor is not None:
             self.governor.charge("answers", answer)

@@ -15,6 +15,9 @@ harness collects one row dict per program (from the
 and exits nonzero when any row regressed past a configurable threshold
 — the check CI runs against the committed seed baseline, so both perf
 regressions (locally) and report-format breakage (anywhere) surface.
+Rows that record engine work (``stats["tasks"]``) are also gated on it,
+at :data:`TASKS_THRESHOLD_PCT`: task counts do not depend on the host,
+so that gate holds on any CI runner.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import json
 import platform
 
 SCHEMA_VERSION = 1
+
+#: growth of a row's engine task count, in percent, that is a regression
+TASKS_THRESHOLD_PCT = 10.0
 
 
 def _jsonable(value):
@@ -133,8 +139,10 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
     A row *regresses* when its total time grows more than
     ``threshold_pct`` percent over the old file (and, independently,
     when its table space grows past ``space_threshold_pct``, which
-    defaults to the same threshold).  Rows present on only one side are
-    reported but are not regressions (benchmarks come and go).
+    defaults to the same threshold, or when both sides record engine
+    tasks and they grow past :data:`TASKS_THRESHOLD_PCT`).  Rows
+    present on only one side are reported but are not regressions
+    (benchmarks come and go).
 
     When both payloads carry metrics *histograms* (latency shapes from
     :class:`~repro.obs.registry.Histogram`), their p50/p95/p99 are
@@ -157,7 +165,10 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
             "old_space": o["table_space"],
             "new_space": n["table_space"],
             "space_pct": _pct(o["table_space"], n["table_space"]),
+            "old_tasks": (o.get("stats") or {}).get("tasks"),
+            "new_tasks": (n.get("stats") or {}).get("tasks"),
         }
+        entry["tasks_pct"] = _pct(entry["old_tasks"], entry["new_tasks"])
         entry["time_regressed"] = (
             entry["time_pct"] is not None and entry["time_pct"] > threshold_pct
         )
@@ -165,8 +176,16 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
             entry["space_pct"] is not None
             and entry["space_pct"] > space_threshold_pct
         )
+        entry["tasks_regressed"] = (
+            entry["tasks_pct"] is not None
+            and entry["tasks_pct"] > TASKS_THRESHOLD_PCT
+        )
         compared.append(entry)
-        if entry["time_regressed"] or entry["space_regressed"]:
+        if (
+            entry["time_regressed"]
+            or entry["space_regressed"]
+            or entry["tasks_regressed"]
+        ):
             regressions.append(entry)
         elif entry["time_pct"] is not None and entry["time_pct"] < -threshold_pct:
             improvements.append(entry)
@@ -176,6 +195,7 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
         "table": new.get("table"),
         "threshold_pct": threshold_pct,
         "space_threshold_pct": space_threshold_pct,
+        "tasks_threshold_pct": TASKS_THRESHOLD_PCT,
         "p95_threshold_pct": p95_threshold_pct,
         "compared": compared,
         "histograms": histograms,
@@ -225,11 +245,12 @@ def format_report(diff: dict) -> str:
         f"table {diff['table']}: {len(diff['compared'])} rows compared, "
         f"{len(diff['regressions'])} regression(s) "
         f"(threshold {diff['threshold_pct']:g}% time / "
-        f"{diff['space_threshold_pct']:g}% space)"
+        f"{diff['space_threshold_pct']:g}% space / "
+        f"{diff['tasks_threshold_pct']:g}% tasks)"
     ]
     header = (
         f"  {'program':12s} {'old(ms)':>9s} {'new(ms)':>9s} {'time%':>8s} "
-        f"{'space%':>8s}  flags"
+        f"{'space%':>8s} {'tasks old -> new':>18s}  flags"
     )
     out.append(header)
     for entry in diff["compared"]:
@@ -238,17 +259,24 @@ def format_report(diff: dict) -> str:
             flags.append("TIME-REGRESSION")
         if entry["space_regressed"]:
             flags.append("SPACE-REGRESSION")
+        if entry["tasks_regressed"]:
+            flags.append("TASKS-REGRESSION")
         time_pct = entry["time_pct"]
         space_pct = entry["space_pct"]
         time_text = f"{time_pct:+7.1f}%" if time_pct is not None else f"{'n/a':>8s}"
         space_text = (
             f"{space_pct:+7.1f}%" if space_pct is not None else f"{'n/a':>8s}"
         )
+        tasks_text = (
+            f"{entry['old_tasks']} -> {entry['new_tasks']}"
+            if entry["old_tasks"] is not None and entry["new_tasks"] is not None
+            else "n/a"
+        )
         out.append(
             f"  {entry['name']:12s} "
             f"{(entry['old_total'] or 0) * 1000:9.2f} "
             f"{(entry['new_total'] or 0) * 1000:9.2f} "
-            f"{time_text} {space_text}  {' '.join(flags)}".rstrip()
+            f"{time_text} {space_text} {tasks_text:>18s}  {' '.join(flags)}".rstrip()
         )
     for name in diff["only_old"]:
         out.append(f"  {name:12s} removed (present only in old file)")

@@ -17,9 +17,10 @@ Four subcommands:
 
 ``report OLD.json NEW.json``
     Diff two bench-emitter files; exit 1 when any row regressed past
-    ``--threshold`` percent (time) / ``--space-threshold`` (bytes) —
-    or, with ``--p95-threshold``, when a latency histogram's p95 grew
-    past it — 2 on malformed input.
+    ``--threshold`` percent (time) / ``--space-threshold`` (bytes) /
+    10 percent engine tasks (rows recording them on both sides) — or,
+    with ``--p95-threshold``, when a latency histogram's p95 grew past
+    it — 2 on malformed input.
 
 ``top HOST:PORT``
     One live snapshot of a running analysis daemon (a ``stats`` admin

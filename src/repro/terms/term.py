@@ -13,6 +13,7 @@ Terms are immutable; all state lives in substitutions
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Union
 
@@ -212,6 +213,45 @@ def term_to_str(term: Term) -> str:
     return f"{_atom_str(term.functor)}({args})"
 
 
+def printed_size(term: Term) -> int:
+    """``len(term_to_str(term))`` of the term's canonical variant.
+
+    The ``k``-th distinct variable (first occurrence, left to right —
+    the numbering of :func:`~repro.terms.variant.canonical` and
+    :func:`~repro.terms.variant.variant_key`) counts as if printed
+    ``_G<k>``, whatever its id or source name, so variants have one
+    size and the size does not depend on how many variables a process
+    has created.  Computed in one walk, without building the string.
+    """
+    return _printed_size(term, {})
+
+
+def _printed_size(term: Term, numbering: dict) -> int:
+    if isinstance(term, Var):
+        index = numbering.setdefault(term.id, len(numbering))
+        return 2 + len(str(index))
+    if isinstance(term, int):
+        return len(str(term))
+    if isinstance(term, str):
+        return _atom_size(term)
+    if term.functor == CONS and len(term.args) == 2:
+        size = 2  # the brackets
+        while True:
+            size += _printed_size(term.args[0], numbering)
+            term = term.args[1]
+            if isinstance(term, Struct) and term.functor == CONS and len(term.args) == 2:
+                size += 1  # ","
+                continue
+            if term != NIL:
+                size += 1 + _printed_size(term, numbering)  # "|" tail
+            return size
+    # functor, parentheses and the commas between arguments
+    size = _atom_size(term.functor) + 1 + len(term.args)
+    for arg in term.args:
+        size += _printed_size(arg, numbering)
+    return size
+
+
 _PLAIN_ATOM_OK = set("abcdefghijklmnopqrstuvwxyz")
 _SYMBOLIC = set("+-*/\\^<>=~:.?@#&$")
 
@@ -228,3 +268,8 @@ def _atom_str(name: str) -> str:
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _atom_size(name: str) -> int:
+    return len(_atom_str(name))

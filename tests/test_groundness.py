@@ -1,12 +1,17 @@
 """Groundness analysis: paper examples, soundness, options."""
 
+import itertools
+
 import pytest
 
+from repro.benchdata.loader import load_prolog_benchmark, prolog_benchmark_names
 from repro.core import analyze_groundness, abstract_program
 from repro.core.groundness import gp_name
-from repro.engine import SLDEngine
+from repro.engine import SLDEngine, TabledEngine
+from repro.obs import Observer, use_observer
 from repro.prolog import load_program, parse_query
-from repro.terms import EMPTY_SUBST
+from repro.runtime.budget import Budget, ResourceGovernor, TaskBudgetExceeded
+from repro.terms import EMPTY_SUBST, Struct, fresh_var
 
 APPEND = """
 ap([], Ys, Ys).
@@ -162,3 +167,109 @@ def test_result_metrics_present():
     assert result.total_time > 0
     assert result.stats["answers"] >= 4
     assert result[("ap", 3)].formula(["X", "Y", "Z"]).count("|") == 3
+
+
+# ----------------------------------------------------------------------
+# Goal-directed cost: open calls are tabled only when a query needs them
+
+#: ``p`` is reached only through an aliased call, which may not answer
+#: pattern queries, so a query on ``p`` needs its open call
+ALIASED = """
+:- entry_point(main(g)).
+main(X) :- p(X, Y, Y).
+p(A, B, C) :- B = A, C = A.
+"""
+
+
+def open_solves(observer):
+    return observer.registry.counter("analysis.groundness.open_solves").value
+
+
+@pytest.mark.parametrize("name", prolog_benchmark_names())
+def test_analysis_solves_only_the_entry_goals(name):
+    """Table 1 measures goal-directed evaluation: the entry goals' work."""
+    program = load_prolog_benchmark(name)
+    abstract, info = abstract_program(program)
+    assert info.entry_points
+    engine = TabledEngine(abstract)
+    for goal in info.entry_points:
+        engine.solve(goal)
+    result = analyze_groundness(program)
+    assert result.stats["tasks"] == engine.stats.tasks
+    assert result.table_space == engine.table_space_bytes()
+
+
+def test_open_call_solved_only_on_a_miss_and_once():
+    observer = Observer()
+    with use_observer(observer):
+        result = analyze_groundness(load_program(ALIASED))
+        stats, space = dict(result.stats), result.table_space
+        p = result[("p", 3)]
+        demanded = len(p.tables)
+        # a demanded table answers: nothing more is solved
+        assert result.ground_on_success_for(("main", 1), (True,)) == (True,)
+        assert open_solves(observer) == 0
+        # the aliased call may not answer: p's open call is tabled
+        assert result.ground_on_success_for(("p", 3), (True, False, False)) == (
+            True, True, True,
+        )
+        assert open_solves(observer) == 1
+        assert len(p.tables) == demanded + 1
+        for pattern in itertools.product((True, False), repeat=3):
+            result.ground_on_success_for(("p", 3), pattern)
+        assert open_solves(observer) == 1
+        assert len(p.tables) == demanded + 1
+    opened = [
+        span.attrs["predicate"] for span in observer.tracer.spans()
+        if span.name == "analysis.groundness.open"
+    ]
+    assert opened == ["p/3"]
+    # the result still describes the entry-directed run
+    assert (result.stats, result.table_space) == (stats, space)
+    assert p.call_patterns == [(True, None, None)]
+
+
+def test_open_table_equals_the_eagerly_built_one():
+    program = load_program(ALIASED)
+    for backend in ("bdd", "enum"):
+        result = analyze_groundness(program, prop_backend=backend)
+        result.ground_on_success_for(("p", 3), (False, False, False))
+        eager = analyze_groundness(
+            program,
+            entries=[Struct(gp_name("p"), tuple(fresh_var() for _ in range(3)))],
+            prop_backend=backend,
+        )
+        assert result[("p", 3)].tables[-1] == eager[("p", 3)].tables[0]
+
+
+def test_budget_trip_in_an_open_solve_raises_typed():
+    program = load_program(ALIASED)
+    tasks = analyze_groundness(program).stats["tasks"]
+    result = analyze_groundness(
+        program, governor=ResourceGovernor(Budget(tasks=tasks)), degrade=False
+    )
+    assert result.completeness == "exact"
+    with pytest.raises(TaskBudgetExceeded):
+        result.ground_on_success_for(("p", 3), (True, False, False))
+    # the half-built tables are never read: a later miss raises again
+    with pytest.raises(TaskBudgetExceeded):
+        result.ground_on_success_for(("p", 3), (False, False, False))
+    assert result.ground_on_success_for(("main", 1), (True,)) == (True,)
+
+
+def _advance_var_ids():
+    """Move the process-wide variable counter to the next power of ten,
+    so every variable created from now on prints one digit longer."""
+    from repro.terms import term as term_module
+
+    start = fresh_var().id
+    term_module._var_counter = itertools.count(10 ** len(str(start)))
+
+
+def test_table_space_does_not_depend_on_process_history():
+    program = load_prolog_benchmark("cs")
+    spaces = []
+    for _ in range(4):
+        spaces.append(analyze_groundness(program).table_space)
+        _advance_var_ids()
+    assert len(set(spaces)) == 1, spaces

@@ -279,6 +279,23 @@ def test_budget_trips_flow_to_partial():
     assert report.events
 
 
+def test_budget_trip_in_an_open_groundness_solve_is_partial():
+    # the backend fits the budget exactly; the call p(X, Y, Y) then
+    # needs p's open call, whose first task trips the shared governor
+    from repro.core.groundness import analyze_groundness
+
+    program = load_program(
+        ":- entry_point(main(g)).\n"
+        "main(X) :- p(X, Y, Y), Z is Y + 1, Z > 0.\n"
+        "p(A, B, C) :- B = A, C = A.\n"
+    )
+    assert check_modes(program).completeness == "prop"
+    tasks = analyze_groundness(program).stats["tasks"]
+    report = check_modes(program, budget=Budget(tasks=tasks))
+    assert report.completeness == "partial"
+    assert [(e.stage, e.kind) for e in report.events] == [("prop", "tasks")]
+
+
 def test_unbudgeted_run_is_complete():
     report = check_modes(demo_program())
     assert report.completeness == "prop"

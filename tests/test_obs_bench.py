@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs.bench import (
     SCHEMA_VERSION,
+    TASKS_THRESHOLD_PCT,
     BenchFormatError,
     bench_payload,
     diff_benches,
@@ -18,8 +19,8 @@ from repro.obs.bench import (
 from repro.obs.cli import EXIT_OK, EXIT_REGRESSIONS, EXIT_USAGE, main
 
 
-def make_row(name, total, space):
-    return {
+def make_row(name, total, space, tasks=None):
+    row = {
         "name": name,
         "lines": 10,
         "preprocess": total / 2,
@@ -28,6 +29,9 @@ def make_row(name, total, space):
         "total": total,
         "table_space": space,
     }
+    if tasks is not None:
+        row["stats"] = {"tasks": tasks}
+    return row
 
 
 def make_payload(rows, table="1"):
@@ -115,6 +119,20 @@ def test_diff_independent_space_threshold():
     assert [e["name"] for e in flagged["regressions"]] == ["a"]
 
 
+def test_diff_gates_engine_tasks_when_both_sides_record_them():
+    old = make_payload([make_row("a", 0.1, 1000, tasks=1000),
+                        make_row("b", 0.1, 1000, tasks=1000),
+                        make_row("c", 0.1, 1000)])
+    grown = 1000 + int(10 * TASKS_THRESHOLD_PCT) + 1
+    new = make_payload([make_row("a", 0.1, 1000, tasks=grown),
+                        make_row("b", 0.1, 1000, tasks=1100),  # at the bound
+                        make_row("c", 0.1, 1000, tasks=10**6)])
+    # a huge time threshold does not loosen the task gate
+    diff = diff_benches(old, new, threshold_pct=1e6)
+    assert [e["name"] for e in diff["regressions"]] == ["a"]
+    assert diff["regressions"][0]["tasks_regressed"]
+
+
 def test_format_report_mentions_flags():
     old = make_payload([make_row("a", 0.1, 1000)])
     new = make_payload([make_row("a", 0.3, 1000)])
@@ -169,6 +187,27 @@ def test_report_cli_json_mode(tmp_path):
     assert code == EXIT_REGRESSIONS
     diff = json.loads(output)
     assert [e["name"] for e in diff["regressions"]] == ["a"]
+
+
+def test_report_cli_fails_when_eager_open_goals_come_back(tmp_path):
+    # cs's Table 1 row: 88 goal-directed tasks; solving every open goal
+    # up front made it 2505
+    old, new = write_files(
+        tmp_path,
+        [make_row("cs", 0.1, 1000, tasks=88)],
+        [make_row("cs", 0.1, 1000, tasks=2505)],
+    )
+    code, output = run_cli("report", old, new, "--threshold", "1000000")
+    assert code == EXIT_REGRESSIONS
+    assert "88 -> 2505" in output and "TASKS-REGRESSION" in output
+    old, new = write_files(
+        tmp_path,
+        [make_row("cs", 0.1, 1000, tasks=88)],
+        [make_row("cs", 0.1, 1000, tasks=88)],
+    )
+    code, output = run_cli("report", old, new, "--threshold", "1000000")
+    assert code == EXIT_OK
+    assert "88 -> 88" in output
 
 
 def test_report_cli_usage_error_on_malformed(tmp_path):

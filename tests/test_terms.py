@@ -15,6 +15,7 @@ from repro.terms import (
     term_functor,
     term_to_str,
 )
+from repro.terms.term import printed_size
 
 
 def test_var_identity():
@@ -94,3 +95,15 @@ def test_term_to_str_lists_and_structs():
     t = make_list([1], fresh_var("T"))
     assert term_to_str(t) == "[1|T]"
     assert term_to_str(Struct("f", ("a", 1))) == "f(a,1)"
+
+
+def test_printed_size_is_the_canonical_variant_printed():
+    x, y = fresh_var("X"), fresh_var()
+    term = Struct("f", (x, make_list([y, "it's", 12], x), Struct("g", (y,))))
+    # variables print as _G0, _G1 in first-occurrence order
+    assert printed_size(term) == len("f(_G0,[_G1,'it\\'s',12|_G0],g(_G1))")
+    renamed = Struct("f", (Var(10**9), make_list([Var(7), "it's", 12], Var(10**9)),
+                           Struct("g", (Var(7),))))
+    assert printed_size(renamed) == printed_size(term)
+    assert printed_size(make_list([1, 2])) == len(term_to_str(make_list([1, 2])))
+    assert printed_size("[]") == 2 and printed_size(-5) == 2
