@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.engine.builtins import is_builtin
 from repro.prolog.program import Indicator, Program
 from repro.terms.term import Struct, Term, Var
-from repro.terms.variant import variant_key
+from repro.terms.variant import clause_key
 
 #: control constructs handled by walking into their argument goals
 _NEGATION = {("\\+", 1), ("not", 1)}
@@ -129,18 +129,16 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
 def component_clause_keys(program: Program, component) -> tuple:
     """The clause fingerprints of one component.
 
-    One :func:`~repro.terms.variant.variant_key` per clause, predicates
+    One :func:`~repro.terms.variant.clause_key` per clause, predicates
     in sorted order, so renaming variables or moving predicates around
-    leaves the fingerprints unchanged.  The serve cache
-    (:func:`repro.serve.cache.fingerprint_program`) and the summary
-    store (:func:`repro.analysis.summaries.component_key`) both key
-    components by them.
+    leaves the fingerprints unchanged.  The summary store keys
+    components by them (:func:`repro.analysis.summaries.component_key`).
     """
-    keys = []
-    for indicator in sorted(component):
-        for clause in program.clauses_for(indicator):
-            keys.append(variant_key(Struct(":-", (clause.head, clause.body))))
-    return tuple(keys)
+    return tuple(
+        clause_key(clause)
+        for indicator in sorted(component)
+        for clause in program.clauses_for(indicator)
+    )
 
 
 def prune_unreachable(program: Program, query: Term) -> Program:

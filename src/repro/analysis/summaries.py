@@ -28,16 +28,18 @@ analysis (never to an unsound claim).
 The :class:`SummaryStore` is content-addressed: a component's key is a
 SHA-256 over the analysis domain and parameters, the component's own
 clause fingerprints
-(:func:`~repro.analysis.depgraph.component_clause_keys`, which the
-serve cache keys by too), and the **digests of its callee components'
-summaries**.  Digest-chaining makes invalidation condensation-aware
-for free: editing a leaf component changes its digest, which changes
-the key of every component that can reach it — exactly the
-reverse-condensation closure :func:`repro.serve.cache.dirty_components`
-computes explicitly — while untouched siblings keep their keys and
-stay warm.  Entries live in a
-bounded in-memory LRU backed by an on-disk directory (one JSON file
-per key, written atomically), so worker processes of one
+(:func:`~repro.analysis.depgraph.component_clause_keys`), and the
+**digests of its callee components' summaries**.  Digest-chaining
+makes invalidation condensation-aware for free: editing a leaf
+component changes its digest, which changes the key of every
+component that can reach it, while untouched siblings keep their keys
+and stay warm; an edit that leaves a component's answers unchanged
+leaves its digest unchanged, so its callers stay warm too (early
+cutoff).  This is the one place SCC components are keyed — the serve
+cache keys whole files (:mod:`repro.serve.cache`) — and one walk
+(:func:`_walk_components`) evaluates them for both domains.  Entries
+live in a bounded in-memory LRU backed by an on-disk directory (one
+JSON file per key, written atomically), so worker processes of one
 ``map_corpus``/``--jobs N`` sweep share a store through the
 filesystem.
 
@@ -56,6 +58,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.depgraph import DependencyGraph, component_clause_keys
+from repro.prolog.parser import Clause
 from repro.prolog.program import Indicator, Program
 from repro.terms.term import Struct, Term, Var, fresh_var
 
@@ -457,7 +460,7 @@ def _count_obs(name: str, amount: int = 1) -> None:
 
 
 # ----------------------------------------------------------------------
-# Modular groundness (Prop domain)
+# The component walk (both domains)
 
 
 def _defined_components(program: Program):
@@ -477,6 +480,136 @@ def _defined_components(program: Program):
         external = sorted(c for c in callees if program.clauses_for(c))
         out.append((defined, external))
     return out
+
+
+def _most_general(name: str, arity: int) -> Term:
+    """``name`` over fresh variables: the open call of a predicate."""
+    if not arity:
+        return name
+    return Struct(name, tuple(fresh_var() for _ in range(arity)))
+
+
+def _never_clause(head_name: str, arity: int) -> Clause:
+    """A never-succeeding clause for a callee with an empty summary.
+
+    Keeps the predicate *defined* in the component module — calls to a
+    provably-empty callee must fail, not raise ``undefined predicate``.
+    """
+    return Clause(_most_general(head_name, arity), "fail")
+
+
+@dataclass
+class _Walk:
+    """What one walk over a program's components produced."""
+
+    total: int
+    #: Indicator -> PredicateSummary, for completed components only
+    summaries: dict = field(default_factory=dict)
+    #: one ResourceExhausted per component that tripped, in walk order
+    trips: list = field(default_factory=list)
+    done: int = 0
+    table_space: int = 0
+    stats: dict = field(default_factory=dict)
+
+
+def _walk_components(
+    program: Program,
+    domain: str,
+    params: dict,
+    store: SummaryStore | None,
+    abstract: Program,
+    head_name,
+    stub_clause,
+    support_clauses,
+    make_engine,
+) -> _Walk:
+    """Summarise ``program``'s components callees-first, through ``store``.
+
+    A component is keyed by :func:`component_key` over ``domain``,
+    ``params``, its clauses and its callees' digests.  On a store miss
+    its ``head_name``-named clauses of ``abstract`` run, on the engine
+    ``make_engine`` builds over a clause database, against stubs of
+    its callees' summaries — one ``stub_clause(answer)`` per callee
+    answer, :func:`_never_clause` for a callee without answers — and
+    ``support_clauses``, with one open call per predicate.
+
+    A component whose evaluation raises
+    :class:`~repro.runtime.budget.ResourceExhausted` is skipped, and
+    so is every component that can reach it: neither can be evaluated
+    soundly without its answers.  Every other component still
+    completes.  Only completed components are stored.
+    """
+    from repro.engine.clausedb import ClauseDB
+    from repro.runtime.budget import ResourceExhausted
+
+    components = _defined_components(program)
+    walk = _Walk(total=len(components))
+    digests: dict = {}   # Indicator -> component digest
+    skipped: set = set()
+    for defined, external in components:
+        if any(indicator in skipped for indicator in external):
+            skipped.update(defined)
+            continue
+        callee_digests = [
+            (f"{name}/{arity}", digests[(name, arity)])
+            for name, arity in external
+        ]
+        key = component_key(
+            domain, params, component_clause_keys(program, defined),
+            callee_digests,
+        )
+        entry = None
+        if store is not None:
+            entry = store.get(key, head_name(""))
+        if entry is None:
+            module = Program()
+            for name, arity in defined:
+                module.tabled.add((head_name(name), arity))
+                for clause in abstract.clauses_for((head_name(name), arity)):
+                    module.add_clause(clause)
+            for name, arity in external:
+                module.tabled.add((head_name(name), arity))
+                answers = walk.summaries[(name, arity)].answers
+                if not answers:
+                    module.add_clause(_never_clause(head_name(name), arity))
+                for answer in answers:
+                    module.add_clause(stub_clause(answer))
+            for clause in support_clauses:
+                module.add_clause(clause)
+            engine = make_engine(ClauseDB(module))
+            entry = ComponentSummary(
+                domain=domain,
+                params={},
+                component=list(defined),
+                predicates={},
+            )
+            try:
+                for name, arity in defined:
+                    answers = engine.solve(_most_general(head_name(name), arity))
+                    entry.predicates[(name, arity)] = PredicateSummary(
+                        name=name, arity=arity, answers=list(answers)
+                    )
+            except ResourceExhausted as exc:
+                skipped.update(defined)
+                walk.trips.append(exc)
+                continue
+            entry.key = key
+            entry.digest = entry.compute_digest()
+            walk.table_space += engine.table_space_bytes()
+            for name, value in engine.stats.as_dict().items():
+                if isinstance(value, (int, float)):
+                    walk.stats[name] = walk.stats.get(name, 0) + value
+            if store is not None:
+                store.put(entry)
+        walk.done += 1
+        for indicator in defined:
+            digests[indicator] = entry.digest
+            walk.summaries[indicator] = entry.predicates[indicator]
+    return walk
+
+
+# ----------------------------------------------------------------------
+# Modular groundness (Prop domain)
 
 
 def groundness_via_summaries(
@@ -499,10 +632,11 @@ def groundness_via_summaries(
     per-call-site specialisation happens at query time via
     ``ground_on_success_for``'s instantiation step.
 
-    Raises :class:`~repro.runtime.budget.ResourceExhausted` if the
-    shared ``governor`` trips — the caller escalates to the
-    whole-program analysis (the degradation ladder), never to a
-    partial modular claim.
+    Raises the first :class:`~repro.runtime.budget.ResourceExhausted`
+    if the shared ``governor`` trips in any component — the caller
+    escalates to the whole-program analysis (the degradation ladder),
+    never to a partial modular claim.  Components that completed
+    independently of the tripped one are still stored.
 
     ``prop_backend`` selects the Prop representation of the collected
     open success sets (``"bdd"`` by default); the *store* is backend-
@@ -515,6 +649,7 @@ def groundness_via_summaries(
         abstract_program,
         gp_name,
     )
+    from repro.engine.tabling import TabledEngine
     from repro.obs.observer import get_observer
 
     obs = get_observer()
@@ -524,48 +659,29 @@ def groundness_via_summaries(
     for indicator in abstract.predicates():
         if not indicator[0].startswith(gp_name("")):
             support_clauses.extend(abstract.clauses_for(indicator))
-    components = _defined_components(program)
-    params = {"optimize": optimize, "encoding": encoding}
     t1 = time.perf_counter()
 
-    digests: dict = {}     # Indicator -> component digest
-    summaries: dict = {}   # Indicator -> PredicateSummary
-    table_space = 0
-    stats: dict = {}
     with obs.maybe_span("analysis.summaries.groundness"):
-        for defined, external in components:
-            clause_keys = component_clause_keys(program, defined)
-            callee_digests = [
-                (f"{name}/{arity}", digests[(name, arity)])
-                for name, arity in external
-            ]
-            key = component_key("prop", params, clause_keys, callee_digests)
-            entry = None
-            if store is not None:
-                entry = store.get(key, gp_name(""))
-            if entry is None:
-                entry, space, engine_stats = _evaluate_prop_component(
-                    abstract, support_clauses, defined, external,
-                    summaries, governor,
-                )
-                entry.key = key
-                entry.digest = entry.compute_digest()
-                table_space += space
-                for name, value in engine_stats.items():
-                    if isinstance(value, (int, float)):
-                        stats[name] = stats.get(name, 0) + value
-                if store is not None:
-                    store.put(entry)
-            for indicator in defined:
-                digests[indicator] = entry.digest
-                summaries[indicator] = entry.predicates[indicator]
+        walk = _walk_components(
+            program,
+            "prop",
+            {"optimize": optimize, "encoding": encoding},
+            store,
+            abstract,
+            gp_name,
+            lambda answer: Clause(answer, "true", {}, 0),
+            support_clauses,
+            lambda db: TabledEngine(db, governor=governor),
+        )
+        if walk.trips:
+            raise walk.trips[0]
     t2 = time.perf_counter()
 
     predicates = {}
     table_completeness = {}
     for indicator in info.predicates:
         name, arity = indicator
-        summary = summaries.get(indicator)
+        summary = walk.summaries.get(indicator)
         answers = summary.answers if summary is not None else []
         success = _success_function(arity, answers, prop_backend)
         open_pattern = tuple(None for _ in range(arity))
@@ -588,8 +704,8 @@ def groundness_via_summaries(
             "analysis": t2 - t1,
             "collection": t3 - t2,
         },
-        table_space=table_space,
-        stats=stats,
+        table_space=walk.table_space,
+        stats=walk.stats,
         warnings=info.warnings,
         completeness="exact",
         table_completeness=table_completeness,
@@ -614,67 +730,6 @@ def _summary_result_class():
 
         cls = _summary_result_class._cls = SummaryBackedGroundness
     return cls
-
-
-def _never_clause(head_name: str, arity: int):
-    """A never-succeeding clause for a callee with an empty summary.
-
-    Keeps the predicate *defined* in the component module — calls to a
-    provably-empty callee must fail, not raise ``undefined predicate``.
-    """
-    from repro.prolog.parser import Clause
-
-    head: Term = (
-        Struct(head_name, tuple(fresh_var() for _ in range(arity)))
-        if arity
-        else head_name
-    )
-    return Clause(head, "fail")
-
-
-def _evaluate_prop_component(
-    abstract: Program, support_clauses, defined, external, summaries, governor
-):
-    """Evaluate one component's abstract clauses against callee stubs."""
-    from repro.core.groundness import gp_name
-    from repro.engine.clausedb import ClauseDB
-    from repro.engine.tabling import TabledEngine
-    from repro.prolog.parser import Clause
-
-    module = Program()
-    for name, arity in defined:
-        module.tabled.add((gp_name(name), arity))
-        for clause in abstract.clauses_for((gp_name(name), arity)):
-            module.add_clause(clause)
-    for name, arity in external:
-        module.tabled.add((gp_name(name), arity))
-        callee = summaries[(name, arity)]
-        if not callee.answers:
-            module.add_clause(_never_clause(gp_name(name), arity))
-            continue
-        for answer in callee.answers:
-            module.add_clause(Clause(answer, "true", {}, 0))
-    for clause in support_clauses:
-        module.add_clause(clause)
-
-    engine = TabledEngine(ClauseDB(module), governor=governor)
-    entry = ComponentSummary(
-        domain="prop",
-        params={},
-        component=list(defined),
-        predicates={},
-    )
-    for name, arity in defined:
-        goal: Term = (
-            Struct(gp_name(name), tuple(fresh_var() for _ in range(arity)))
-            if arity
-            else gp_name(name)
-        )
-        answers = engine.solve(goal)
-        entry.predicates[(name, arity)] = PredicateSummary(
-            name=name, arity=arity, answers=list(answers)
-        )
-    return entry, engine.table_space_bytes(), engine.stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -716,132 +771,56 @@ def depthk_via_summaries(
         gpk_name,
         truncate_goal,
     )
-    from repro.engine.clausedb import ClauseDB
     from repro.engine.tabling import TabledEngine
     from repro.obs.observer import get_observer
-    from repro.prolog.parser import Clause
-    from repro.runtime.budget import (
-        Budget,
-        ResourceExhausted,
-        governor_for,
-    )
+    from repro.runtime.budget import Budget, ResourceGovernor
+
+    if budget is None:
+        if component_tasks is None:
+            from repro.analysis.failcheck import DEFAULT_TASK_BUDGET
+
+            component_tasks = DEFAULT_TASK_BUDGET
+        budget = Budget(tasks=component_tasks)
 
     obs = get_observer()
     t0 = time.perf_counter()
     abstract, warnings = depthk_program(program)
-    components = _defined_components(program)
-    params = {"depth": depth, "abstract_integers": abstract_integers}
     t1 = time.perf_counter()
 
-    def component_governor():
-        if budget is not None:
-            return governor_for(budget, None, None)
-        tasks = component_tasks
-        if tasks is None:
-            from repro.analysis.failcheck import DEFAULT_TASK_BUDGET
+    def truncate(term: Term) -> Term:
+        return truncate_goal(term, depth, abstract_integers)
 
-            tasks = DEFAULT_TASK_BUDGET
-        return governor_for(Budget(tasks=tasks), None, None)
+    def make_engine(db):
+        return TabledEngine(
+            db,
+            governor=ResourceGovernor(budget),
+            call_abstraction=truncate,
+            answer_abstraction=truncate,
+            feed_unify=abstract_unify,
+            answer_subsumption=True,
+        )
 
-    digests: dict = {}
-    summaries: dict = {}
-    incomplete: set = set()
-    trip_kinds: list = []
-    table_space = 0
-    stats: dict = {}
-    total = len(components)
-    done = 0
     with obs.maybe_span("analysis.summaries.depthk", depth=depth):
-        for defined, external in components:
-            if any(ind in incomplete for ind in external):
-                incomplete.update(defined)
-                continue
-            clause_keys = component_clause_keys(program, defined)
-            callee_digests = [
-                (f"{name}/{arity}", digests[(name, arity)])
-                for name, arity in external
-            ]
-            key = component_key("depthk", params, clause_keys, callee_digests)
-            entry = None
-            if store is not None:
-                entry = store.get(key, gpk_name(""))
-            if entry is None:
-                module = Program()
-                for name, arity in defined:
-                    module.tabled.add((gpk_name(name), arity))
-                    for clause in abstract.clauses_for((gpk_name(name), arity)):
-                        module.add_clause(clause)
-                for name, arity in external:
-                    module.tabled.add((gpk_name(name), arity))
-                    callee = summaries[(name, arity)]
-                    if not callee.answers:
-                        module.add_clause(
-                            _never_clause(gpk_name(name), arity)
-                        )
-                        continue
-                    for answer in callee.answers:
-                        module.add_clause(_stub_clause(answer, gpk_name, AUNIFY))
-                engine = TabledEngine(
-                    ClauseDB(module),
-                    governor=component_governor(),
-                    call_abstraction=lambda goal: truncate_goal(
-                        goal, depth, abstract_integers
-                    ),
-                    answer_abstraction=lambda answer: truncate_goal(
-                        answer, depth, abstract_integers
-                    ),
-                    feed_unify=abstract_unify,
-                    answer_subsumption=True,
-                )
-                entry = ComponentSummary(
-                    domain="depthk",
-                    params={},
-                    component=list(defined),
-                    predicates={},
-                )
-                try:
-                    for name, arity in defined:
-                        goal: Term = (
-                            Struct(
-                                gpk_name(name),
-                                tuple(fresh_var() for _ in range(arity)),
-                            )
-                            if arity
-                            else gpk_name(name)
-                        )
-                        answers = engine.solve(goal)
-                        entry.predicates[(name, arity)] = PredicateSummary(
-                            name=name, arity=arity, answers=list(answers)
-                        )
-                except ResourceExhausted as exc:
-                    incomplete.update(defined)
-                    trip_kinds.append(exc.kind)
-                    continue
-                entry.key = key
-                entry.digest = entry.compute_digest()
-                table_space += engine.table_space_bytes()
-                for name, value in engine.stats.as_dict().items():
-                    if isinstance(value, (int, float)):
-                        stats[name] = stats.get(name, 0) + value
-                if store is not None:
-                    store.put(entry)
-            done += 1
-            for indicator in defined:
-                digests[indicator] = entry.digest
-                summaries[indicator] = entry.predicates[indicator]
+        walk = _walk_components(
+            program,
+            "depthk",
+            {"depth": depth, "abstract_integers": abstract_integers},
+            store,
+            abstract,
+            gpk_name,
+            lambda answer: _stub_clause(answer, AUNIFY),
+            (),
+            make_engine,
+        )
     t2 = time.perf_counter()
 
     predicates = {}
     table_completeness = {}
     for indicator in program.predicates():
         name, arity = indicator
-        summary = summaries.get(indicator)
+        summary = walk.summaries.get(indicator)
         if summary is None:
-            top: Term = (
-                Struct(gpk_name(name), tuple(fresh_var() for _ in range(arity)))
-                if arity
-                else gpk_name(name)
-            )
+            top = _most_general(gpk_name(name), arity)
             predicates[indicator] = PredicateShapes(name, arity, [top], [])
             table_completeness[indicator] = False
             continue
@@ -851,6 +830,7 @@ def depthk_via_summaries(
         table_completeness[indicator] = True
     t3 = time.perf_counter()
 
+    done, total = walk.done, walk.total
     if done == total:
         completeness = "exact"
     else:
@@ -869,20 +849,20 @@ def depthk_via_summaries(
             "analysis": t2 - t1,
             "collection": t3 - t2,
         },
-        table_space=table_space,
-        stats=stats,
+        table_space=walk.table_space,
+        stats=walk.stats,
         warnings=warnings,
         completeness=completeness,
         effective_depth=depth,
         table_completeness=table_completeness,
     )
-    result.trip_kinds = trip_kinds
+    result.trip_kinds = [exc.kind for exc in walk.trips]
     result.components_done = done
     result.components_total = total
     return result
 
 
-def _stub_clause(answer: Term, gpk_name, aunify: str):
+def _stub_clause(answer: Term, aunify: str) -> Clause:
     """A callee stub in the depth-k idiom: flat head + ``$aunify`` body.
 
     Abstract heads must be flat (matching happens through the
@@ -890,8 +870,6 @@ def _stub_clause(answer: Term, gpk_name, aunify: str):
     with ``$gamma`` in its head would be matched by *standard*
     unification and lose the gamma-matches-any-ground-term semantics.
     """
-    from repro.prolog.parser import Clause
-
     if not isinstance(answer, Struct):
         return Clause(answer, "true", {}, 0)
     head_vars = tuple(fresh_var() for _ in answer.args)

@@ -601,8 +601,10 @@ def analyze_groundness(
     governs collection: a trip degrades to the ``bdd-widened`` stage
     (worst-case widening to the definite core, capped at
     ``bdd_widen_nodes`` nodes per table function) before falling back
-    to all-top.  Predicates wider than :data:`MAX_IFF_NVARS` are
-    routed to the BDD representation even under ``"enum"`` (the
+    to all-top.  Collection runs under the governor of the stage that
+    built the tables, and any other trip there (a deadline) falls back
+    to all-top directly.  Predicates wider than :data:`MAX_IFF_NVARS`
+    are routed to the BDD representation even under ``"enum"`` (the
     enumerative truth set would need 2^arity rows), with a warning.
     """
     from repro.bdd.propfn import bdd_governed, publish_bdd_gauges
@@ -636,24 +638,32 @@ def analyze_groundness(
         goals = [_open_goal(ind) for ind in info.predicates]
 
     gov = governor_for(budget, governor, fault)
+    # the governor of the stage that built ``engine``: its table
+    # functions are collected under it
+    stage_gov = gov
     completeness = "exact"
     events: list = []
+
+    def degraded(stage: str, exc: ResourceExhausted) -> None:
+        event = DegradationEvent.from_error("groundness", stage, exc)
+        events.append(event)
+        notify_degradation(event)
+
     try:
         with obs.maybe_span("analysis.groundness.stage", stage="exact"):
             engine = _evaluate(db, goals, scheduling, gov)
     except ResourceExhausted as exc:
         if not degrade:
             raise
-        event = DegradationEvent.from_error("groundness", "exact", exc)
-        events.append(event)
-        notify_degradation(event)
+        degraded("exact", exc)
         try:
             with obs.maybe_span("analysis.groundness.stage", stage="widened"):
+                stage_gov = gov.restarted()
                 engine = _evaluate(
                     db,
                     goals,
                     scheduling,
-                    gov.restarted(),
+                    stage_gov,
                     answer_join=top_widening_join(
                         widen_threshold,
                         metric="analysis.groundness.widenings",
@@ -661,9 +671,7 @@ def analyze_groundness(
                 )
             completeness = "widened"
         except ResourceExhausted as exc2:
-            event = DegradationEvent.from_error("groundness", "widened", exc2)
-            events.append(event)
-            notify_degradation(event)
+            degraded("widened", exc2)
             engine = None
             completeness = "top"
     t2 = time.perf_counter()
@@ -677,8 +685,8 @@ def analyze_groundness(
             )
         return chosen
 
-    # the governor and node cap the table functions are collected under
-    stage_gov, widen_nodes = gov, None
+    # the node cap the table functions are collected under
+    widen_nodes = None
 
     def collect_all():
         collected = {}
@@ -705,11 +713,7 @@ def analyze_groundness(
             except BddNodesExceeded as exc:
                 if not degrade:
                     raise
-                event = DegradationEvent.from_error(
-                    "groundness", completeness, exc
-                )
-                events.append(event)
-                notify_degradation(event)
+                degraded(completeness, exc)
                 try:
                     # worst-case widening (Genaim/Howe/Codish): rebuild
                     # every table function with the definite-core cap
@@ -718,14 +722,18 @@ def analyze_groundness(
                     predicates, table_completeness = collect_all()
                     if completeness == "exact":
                         completeness = "bdd-widened"
-                except BddNodesExceeded as exc2:
-                    event = DegradationEvent.from_error(
-                        "groundness", "bdd-widened", exc2
-                    )
-                    events.append(event)
-                    notify_degradation(event)
+                except ResourceExhausted as exc2:
+                    degraded("bdd-widened", exc2)
                     engine = None
                     completeness = "top"
+            except ResourceExhausted as exc:
+                # a deadline or cancellation while collecting: no
+                # cheaper collection to retry, so bail to all-top
+                if not degrade:
+                    raise
+                degraded(completeness, exc)
+                engine = None
+                completeness = "top"
         if engine is None:
             for indicator in info.predicates:
                 name, arity = indicator

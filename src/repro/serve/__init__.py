@@ -13,8 +13,8 @@ The pieces, each independently testable:
   deadline kills, respawn;
 * :mod:`~repro.serve.retry` / :mod:`~repro.serve.breaker` — bounded
   backoff and the circuit breaker, pure state machines;
-* :mod:`~repro.serve.cache` — warm results keyed by clause-set variant
-  hashes with SCC-condensation-aware invalidation;
+* :mod:`~repro.serve.cache` — warm results keyed by the parsed file up
+  to variable renaming;
 * :mod:`~repro.serve.daemon` — the dispatch path tying them together;
 * :mod:`~repro.serve.telemetry` — live telemetry: the structured
   access log, the stitched-trace store, per-request tracing plumbing

@@ -354,16 +354,6 @@ class AnalysisDaemon:
             telemetry.event("cache.hit")
             return ok_reply(request.id, probe.payload, cached=True)
         self._count("serve.cache.misses")
-        if probe is not None and probe.partial:
-            self._count("serve.cache.partial_misses")
-            self._count("serve.cache.invalidated_components", len(probe.dirty))
-            if self.summaries_dir is not None and probe.fingerprint is not None:
-                # with a summary store attached, the clean components of
-                # a partial miss are exactly the ones the worker's lint
-                # will splice from stored summaries instead of re-deriving
-                reusable = len(probe.fingerprint.components) - len(probe.dirty)
-                if reusable > 0:
-                    self._count("serve.summaries.reusable_components", reusable)
 
         with self._lock:
             pool_allowed = self.breaker.allow()

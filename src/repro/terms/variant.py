@@ -65,6 +65,16 @@ def _key(term: Term, subst: Subst, numbering: dict[int, int],
     return ("a", term)
 
 
+def clause_key(clause) -> VariantKey:
+    """The variant key of a clause ``head :- body``.
+
+    The one clause fingerprint the serve cache and the summary store
+    both key by: equal exactly when two clauses differ only in the
+    names of their variables.
+    """
+    return variant_key(Struct(":-", (clause.head, clause.body)))
+
+
 def is_variant(t1: Term, t2: Term, subst: Subst = EMPTY_SUBST) -> bool:
     """True iff ``t1`` and ``t2`` are identical up to variable renaming."""
     if t1 is t2:

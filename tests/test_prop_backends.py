@@ -43,7 +43,12 @@ from repro.core.propdom import (
 )
 from repro.errors import PrologError
 from repro.prolog.program import load_program
-from repro.runtime.budget import BddNodesExceeded, Budget
+from repro.runtime.budget import (
+    BddNodesExceeded,
+    Budget,
+    DeadlineExceeded,
+    ResourceGovernor,
+)
 from repro.terms import Struct, fresh_var
 
 
@@ -306,6 +311,38 @@ def test_bdd_nodes_budget_degrades_to_bdd_widened():
     for info in floored.predicates.values():
         assert info.ground_on_success == tuple(
             False for _ in range(info.arity)
+        )
+
+
+def _jumping_governor():
+    """A 1 s deadline whose clock jumps past it once, on its third read.
+
+    The jump lands inside the exact stage; the widened stage's
+    restarted governor starts after it and never expires.
+    """
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) < 3 else 2.0
+
+    return ResourceGovernor(Budget(deadline=1.0), clock=clock, poll_interval=1)
+
+
+@pytest.mark.parametrize("name", ["qsort", "cs", "press1"])
+def test_deadline_trip_is_collected_under_the_widened_stage(name):
+    program = load_prolog_benchmark(name)
+    reset_global_manager()  # fresh nodes: collection must charge
+    result = analyze_groundness(
+        program, governor=_jumping_governor(), prop_backend="bdd"
+    )
+    assert result.completeness == "widened"
+    assert [e.kind for e in result.events] == ["deadline"]
+    reset_global_manager()
+    with pytest.raises(DeadlineExceeded):
+        analyze_groundness(
+            program, governor=_jumping_governor(), prop_backend="bdd",
+            degrade=False,
         )
 
 

@@ -2,7 +2,7 @@
 
 The slow pieces (real worker processes) are concentrated in a
 module-scoped daemon fixture; everything else — protocol validation,
-fingerprinting, cache invalidation — is pure and fast.
+fingerprinting, cache probing — is pure and fast.
 """
 
 import contextlib
@@ -30,7 +30,6 @@ from repro.serve import (
     fingerprint_program,
     parse_request,
 )
-from repro.serve.cache import dirty_components
 from repro.serve.protocol import ProtocolError, error_reply, ok_reply
 from repro.serve.retry import RetryPolicy
 
@@ -93,7 +92,7 @@ def test_check_reply_contract():
 
 
 # ----------------------------------------------------------------------
-# Fingerprinting and cache invalidation
+# Fingerprinting and cache probing
 
 
 def _program(text):
@@ -106,8 +105,7 @@ def test_fingerprint_is_a_variant_key_not_a_text_hash():
         q(a).
     """)
     renamed = _program("""
-        % a comment, different whitespace, renamed variables
-        p(Zed) :-  q(Zed).
+        p(Zed) :-  q(Zed).  % a comment, whitespace, renamed variables
         q(a).
     """)
     assert fingerprint_program(one).whole == fingerprint_program(renamed).whole
@@ -118,38 +116,18 @@ def test_fingerprint_is_a_variant_key_not_a_text_hash():
     assert fingerprint_program(one).whole != fingerprint_program(changed).whole
 
 
-def test_dirty_set_closes_over_callers_only():
-    # chain: main -> mid -> leaf, plus bystander
-    program = _program("""
-        main(X) :- mid(X).
-        mid(X) :- leaf(X).
-        leaf(a).
-        bystander(b).
-    """)
-    fingerprint = fingerprint_program(program)
-    leaf = next(c for c in fingerprint.components if ("leaf", 1) in c)
-    dirty = dirty_components(fingerprint, [leaf])
-    names = {name for component in dirty for name, _ in component}
-    assert names == {"leaf", "mid", "main"}  # callers dirty, bystander not
-    main = next(c for c in fingerprint.components if ("main", 1) in c)
-    assert dirty_components(fingerprint, [main]) == {main}
-
-
 def test_cache_probe_hit_miss_partial_and_eviction():
     cache = ResultCache(max_entries=2)
     program = _program("p(X) :- q(X).\nq(a).\nr(b).")
     probe = cache.probe(("lint", "f.pl", ()), program)
-    assert not probe.hit and not probe.partial
+    assert not probe.hit
     cache.store(("lint", "f.pl", ()), probe, {"answer": 1})
 
     again = cache.probe(("lint", "f.pl", ()), program)
     assert again.hit and again.payload == {"answer": 1}
 
     edited = _program("p(X) :- q(X).\nq(a).\nr(c).")  # only r/1 changed
-    partial = cache.probe(("lint", "f.pl", ()), edited)
-    assert not partial.hit and partial.partial
-    assert [sorted(c) for c in partial.changed] == [[("r", 1)]]
-    assert [sorted(c) for c in partial.dirty] == [[("r", 1)]]
+    assert not cache.probe(("lint", "f.pl", ()), edited).hit
 
     # eviction: two fresh keys push the oldest out
     for name in ("g.pl", "h.pl"):
@@ -157,16 +135,6 @@ def test_cache_probe_hit_miss_partial_and_eviction():
         cache.store(("lint", name, ()), fresh, {})
     assert len(cache) == 2
     assert not cache.probe(("lint", "f.pl", ()), program).hit
-
-
-def test_cache_invalidate_by_path():
-    cache = ResultCache()
-    program = _program("p(a).")
-    for task in ("lint", "groundness"):
-        probe = cache.probe((task, "f.pl", ()), program)
-        cache.store((task, "f.pl", ()), probe, {})
-    assert cache.invalidate("f.pl") == 2
-    assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +259,56 @@ def test_daemon_serves_and_caches(daemon):
     assert check_reply(second) == "ok" and second["cached"]
     assert second["payload"] == first["payload"]
     assert daemon.cache.hits >= 1
+
+
+APP = """\
+app([], Ys, Ys).
+app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).
+"""
+
+
+def _ground_at_call(reply) -> list:
+    return reply["payload"]["predicates"]["app/3"]["ground_at_call"]
+
+
+def test_daemon_misses_when_only_a_directive_changed(daemon, tmp_path):
+    path = tmp_path / "app.pl"
+    request = {"task": "groundness", "path": str(path), "deadline": 30}
+    path.write_text(":- entry_point(app(g, g, any)).\n" + APP)
+    first = daemon.handle(request)
+    assert check_reply(first) == "ok" and not first["cached"]
+    assert _ground_at_call(first) == [True, True, False]
+    assert daemon.handle(request)["cached"]
+
+    path.write_text(":- entry_point(app(any, any, g)).\n" + APP)
+    edited = daemon.handle(request)
+    assert check_reply(edited) == "ok" and not edited["cached"]
+    assert _ground_at_call(edited) == [False, False, True]
+
+    # a declaration after the clause: no clause moves, yet lint changes
+    lint = {"task": "lint", "path": str(path), "deadline": 30}
+    path.write_text("p(X) :- seen(X).\n")
+    rules = {row["rule"] for row in daemon.handle(lint)["payload"]["rows"]}
+    assert {"undefined-call", "dead-predicate"} <= rules
+    path.write_text("p(X) :- seen(X).\n:- dynamic seen/1.\n")
+    declared = daemon.handle(lint)
+    assert not declared["cached"]
+    assert declared["payload"]["rows"] == []
+
+
+def test_daemon_lint_reply_follows_moved_lines(daemon, tmp_path):
+    path = tmp_path / "moved.pl"
+    lint = {"task": "lint", "path": str(path), "deadline": 30}
+    path.write_text("q(a).\np(X) :- seen(X).\n")
+    first = daemon.handle(lint)
+    assert {row["line"] for row in first["payload"]["rows"]} == {2}
+    path.write_text("% two comment lines\n%\nq(a).\np(X) :- seen(X).\n")
+    moved = daemon.handle(lint)
+    assert not moved["cached"]
+    assert {row["line"] for row in moved["payload"]["rows"]} == {4}
+    # renaming a variable moves nothing: still a hit
+    path.write_text("% two comment lines\n%\nq(a).\np(Y) :- seen(Y).\n")
+    assert daemon.handle(lint)["cached"]
 
 
 def test_daemon_retries_transient_crash_to_success(daemon):

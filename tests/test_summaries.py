@@ -10,11 +10,13 @@ change, never served).
 import itertools
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.failcheck import failcheck_program
 from repro.analysis.lint import lint_program
+from repro.analysis.modecheck import check_modes
 from repro.analysis.summaries import (
     ComponentSummary,
     PredicateSummary,
@@ -31,6 +33,8 @@ from repro.benchdata import prolog_benchmark_names, prolog_benchmark_source
 from repro.core.groundness import analyze_groundness, gp_name
 from repro.prolog import load_program
 from repro.prolog.parser import parse_term
+from repro.runtime.budget import ResourceGovernor, TaskBudgetExceeded
+from repro.runtime.faultinject import FaultInjector
 from repro.terms.term import Struct
 
 
@@ -224,6 +228,50 @@ def test_component_key_depends_on_callee_digest():
     key_one = component_key("prop", {}, clause_keys, [("q/1", "digest-one")])
     key_two = component_key("prop", {}, clause_keys, [("q/1", "digest-two")])
     assert key_one != key_two
+
+
+# ----------------------------------------------------------------------
+# Budget trips in the Prop walk
+
+
+@pytest.mark.parametrize("at", [5, 20, 60])
+def test_prop_walk_trip_stores_only_completed_independent_components(at):
+    program = corpus_program("qsort")
+    cold = SummaryStore()
+    groundness_via_summaries(program, store=cold)
+    exact = {tuple(entry.component): (entry.key, entry.digest)
+             for entry in cold._entries.values()}
+
+    store = SummaryStore()
+    fault = FaultInjector("tasks", at=at, kind="tasks", times=1)
+    with pytest.raises(TaskBudgetExceeded):
+        groundness_via_summaries(
+            program, store=store, governor=ResourceGovernor(fault=fault)
+        )
+    stored = {tuple(entry.component): (entry.key, entry.digest)
+              for entry in store._entries.values()}
+    # append/3 trips; qsort/2 reaches it and is skipped with it;
+    # partition/4 completes on its own, exactly as in a cold run
+    partition = (("partition", 4),)
+    assert stored == {partition: exact[partition]}
+
+
+@pytest.mark.parametrize("at", [5, 20, 60])
+def test_modecheck_escalates_past_a_prop_walk_trip(at):
+    program = load_program(
+        (Path(__file__).parent / "data" / "modecheck_bugs.pl").read_text()
+    )
+    reference = check_modes(program)
+    fault = FaultInjector("tasks", at=at, kind="tasks", times=1)
+    report = check_modes(program, summaries=SummaryStore(), fault=fault)
+    # the one firing lands in the summary walk: a firing in the
+    # whole-program backend would have left only the "adorn" tier
+    assert fault.fired == 1
+    assert report.completeness == reference.completeness == "prop"
+    assert len(reference.diagnostics) == 6
+    assert [d.format() for d in report.diagnostics] == [
+        d.format() for d in reference.diagnostics
+    ]
 
 
 def test_store_lru_bounds_memory(tmp_path):
