@@ -1,6 +1,7 @@
 """E10 — engine-option ablations (paper sections 4.2 and 6.2).
 
-* scheduling strategy: depth-biased (lifo) vs breadth-first (fifo);
+* scheduling strategy: depth-biased (lifo) vs breadth-first (fifo),
+  for groundness and for strictness (equal results required of both);
 * supplementary tabling on/off for strictness — the paper leaves its
   effectiveness "to be established"; we establish it;
 * call subsumption / open calls for bottom-up-style evaluation.
@@ -10,7 +11,11 @@ import time
 
 import pytest
 
-from repro.benchdata import load_funlang_benchmark, load_prolog_benchmark
+from repro.benchdata import (
+    funlang_benchmark_names,
+    load_funlang_benchmark,
+    load_prolog_benchmark,
+)
 from repro.core import analyze_groundness
 from repro.core.strictness import analyze_strictness
 from repro.engine import TabledEngine
@@ -30,6 +35,31 @@ def test_scheduling_strategies(benchmark, name):
     lifo, fifo = benchmark.pedantic(run, rounds=2, iterations=1)
     for indicator in program.predicates():
         assert lifo[indicator].success == fifo[indicator].success
+    benchmark.extra_info.update(
+        {
+            "lifo_ms": round(lifo.total_time * 1000, 2),
+            "fifo_ms": round(fifo.total_time * 1000, 2),
+            "lifo_tasks": lifo.stats["tasks"],
+            "fifo_tasks": fifo.stats["tasks"],
+        }
+    )
+
+
+@pytest.mark.parametrize("name", funlang_benchmark_names())
+def test_strictness_scheduling_strategies(benchmark, name):
+    """Answer subsumption keeps strictness demands schedule-independent."""
+    program = load_funlang_benchmark(name)
+
+    def run():
+        lifo = analyze_strictness(program, scheduling="lifo")
+        fifo = analyze_strictness(program, scheduling="fifo")
+        return lifo, fifo
+
+    lifo, fifo = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert lifo.completeness == fifo.completeness == "exact"
+    for key, fs in lifo.functions.items():
+        other = fifo[key]
+        assert (fs.demand_e, fs.demand_d) == (other.demand_e, other.demand_d), key
     benchmark.extra_info.update(
         {
             "lifo_ms": round(lifo.total_time * 1000, 2),

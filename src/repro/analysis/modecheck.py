@@ -62,7 +62,7 @@ from repro.prolog.parser import Clause
 from repro.prolog.program import Indicator, Program
 from repro.terms.subst import EMPTY_SUBST
 from repro.terms.term import Struct, Term, Var, term_variables
-from repro.terms.unify import match
+from repro.terms.unify import subsumes
 from repro.terms.variant import variant_key
 
 _NEGATION = {("\\+", 1), ("not", 1)}
@@ -874,27 +874,6 @@ def _mapped_equal(x: Term, y: Term, forward: dict[int, int]) -> bool:
 # Redundant clauses (syntactic subsumption)
 
 
-def _skolemize(term: Term) -> Term:
-    """Replace every variable with a distinct constant term.
-
-    Makes the instance-of test honest: ``match`` must not be allowed to
-    bind the candidate's variables (repeated pattern variables would
-    otherwise alias them away).
-    """
-    mapping: dict[int, Struct] = {}
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.id not in mapping:
-                mapping[t.id] = Struct("$sk", (len(mapping),))
-            return mapping[t.id]
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(walk(a) for a in t.args))
-        return t
-
-    return walk(term)
-
-
 def _redundant_clauses(program: Program, filename: str | None) -> list[Diagnostic]:
     """Clauses that can contribute no answer under any call pattern.
 
@@ -916,16 +895,9 @@ def _redundant_clauses(program: Program, filename: str | None) -> list[Diagnosti
             for earlier_index in range(later_index):
                 earlier = clauses[earlier_index]
                 duplicate = keys[earlier_index] == keys[later_index]
-                # skolemize the later head: its variables must behave as
-                # constants for instance-of, and clause variable ids can
-                # collide across clauses (the parser numbers per clause)
-                subsumed = (
-                    earlier.is_fact()
-                    and match(
-                        earlier.head, _skolemize(later.head), EMPTY_SUBST
-                    )
-                    is not None
-                )
+                # subsumes never binds the later head: its variables stay
+                # constants even where two clauses share variable ids
+                subsumed = earlier.is_fact() and subsumes(earlier.head, later.head)
                 if not duplicate and not subsumed:
                     continue
                 reason = (

@@ -43,7 +43,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.prolog.program import Program
 from repro.terms.subst import EMPTY_SUBST, Subst
 from repro.terms.term import Struct, Term, Var, printed_size, term_to_str
-from repro.terms.unify import match, unify
+from repro.terms.unify import subsumes, unify
 from repro.terms.variant import canonical, rename_apart, variant_key
 
 
@@ -341,6 +341,11 @@ class TabledEngine:
                 self._feed_consumer(consumer, table)
         for table in self.tables.values():
             table.complete = True
+            # no new answer reaches a complete table, so its consumers
+            # are done; dropping them breaks the table -> consumer ->
+            # context -> table cycle, so a dropped engine is freed at
+            # once rather than by the cyclic garbage collector
+            table.consumers.clear()
 
     # ------------------------------------------------------------------
     # One resolution step of a task
@@ -499,7 +504,7 @@ class TabledEngine:
     def _find_subsuming(self, call: Term) -> Table | None:
         indicator = call.indicator if isinstance(call, Struct) else (call, 0)
         for table in self.tables_by_pred.get(indicator, ()):
-            if match(rename_apart(table.call), call, EMPTY_SUBST) is not None:
+            if subsumes(table.call, call):
                 return table
         return None
 
@@ -536,7 +541,7 @@ class TabledEngine:
             return False
         if self.answer_subsumption:
             for existing in table.answers:
-                if match(rename_apart(existing), answer, EMPTY_SUBST) is not None:
+                if subsumes(existing, answer):
                     self._n_dup.value += 1
                     return False
         table.answer_keys.add(key)

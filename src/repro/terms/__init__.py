@@ -32,7 +32,7 @@ from repro.terms.term import (
     term_to_str,
 )
 from repro.terms.subst import Subst, EMPTY_SUBST
-from repro.terms.unify import unify, match, occurs_in
+from repro.terms.unify import unify, subsumes, occurs_in
 from repro.terms.variant import canonical, variant_key, is_variant, rename_apart
 
 __all__ = [
@@ -52,7 +52,7 @@ __all__ = [
     "Subst",
     "EMPTY_SUBST",
     "unify",
-    "match",
+    "subsumes",
     "occurs_in",
     "canonical",
     "variant_key",

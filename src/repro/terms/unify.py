@@ -1,4 +1,4 @@
-"""Unification and one-way matching over persistent substitutions."""
+"""Unification over persistent substitutions, and one-way subsumption."""
 
 from __future__ import annotations
 
@@ -56,31 +56,40 @@ def unify(t1: Term, t2: Term, subst: Subst, occur_check: bool = False) -> Subst 
     return subst
 
 
-def match(pattern: Term, term: Term, subst: Subst) -> Subst | None:
-    """One-way matching: bind variables of ``pattern`` only.
+def subsumes(general: Term, specific: Term) -> bool:
+    """True iff ``specific`` is an instance of ``general``.
 
-    ``term`` is treated as fixed: its variables are constants that only
-    unify with themselves.  Used by clause indexing and the bottom-up
-    evaluator (matching rule bodies against derived facts).
+    One-way: only ``general``'s variables take bindings, kept in a
+    private dict, and ``specific`` is never walked or bound, so its
+    variables act as constants that equal only themselves.  The two
+    terms may share variable ids and nothing is renamed.  Both terms
+    are taken as fully resolved.  This is the answer and call
+    subsumption check of the tabled engine (paper section 6.2).
     """
-    stack = [(pattern, term)]
+    bindings: dict[int, Term] = {}
+    stack = [(general, specific)]
     while stack:
-        p, t = stack.pop()
-        p = subst.walk(p)
-        t = subst.walk(t)
-        if isinstance(p, Var):
-            if isinstance(t, Var) and t.id == p.id:
-                continue
-            subst = subst.bind(p, t)
-        elif isinstance(p, Struct):
+        g, s = stack.pop()
+        if isinstance(g, Struct):
+            if g is s and g._vkey is not None:
+                continue  # one shared ground subtree
             if (
-                not isinstance(t, Struct)
-                or p.functor != t.functor
-                or len(p.args) != len(t.args)
+                not isinstance(s, Struct)
+                or g.functor != s.functor
+                or len(g.args) != len(s.args)
             ):
-                return None
-            stack.extend(zip(p.args, t.args))
+                return False
+            pairs = zip(g.args, s.args)
         else:
-            if p != t:
-                return None
-    return subst
+            pairs = ((g, s),)
+        # settle variables and constants at once; only structures wait
+        for a, b in pairs:
+            if isinstance(a, Struct):
+                stack.append((a, b))
+            elif isinstance(a, Var):
+                bound = bindings.setdefault(a.id, b)
+                if bound is not b and bound != b:
+                    return False
+            elif a != b:
+                return False
+    return True

@@ -27,9 +27,10 @@ def variant_key(term: Term, subst: Subst = EMPTY_SUBST) -> VariantKey:
     a key independent of both the substitution and the surrounding
     variable numbering, so tabled calls, answer inserts and semi-naive
     delta dedup — which rekey the same stored facts over and over — pay
-    the tree walk once per term.  The cache write is idempotent (always
-    the same value for a given term), so racing worker threads are
-    harmless.
+    the tree walk once per term.  A keyed subtree is also one that
+    :func:`canonical` and :func:`rename_apart` share instead of copying.
+    The cache write is idempotent (always the same value for a given
+    term), so racing worker threads are harmless.
     """
     if isinstance(term, Struct):
         cached = term._vkey
@@ -102,6 +103,10 @@ def _canon(term: Term, subst: Subst, renaming: dict[int, Var]) -> Term:
             renaming[term.id] = replacement
         return replacement
     if isinstance(term, Struct):
+        if term._vkey is not None:
+            # a keyed subtree holds no variable: nothing to rename, so
+            # the stored term is shared rather than copied
+            return term
         return Struct(term.functor, tuple(_canon(a, subst, renaming) for a in term.args))
     return term
 

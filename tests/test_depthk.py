@@ -10,7 +10,14 @@ from repro.core.depthk import (
 )
 from repro.core import analyze_groundness
 from repro.prolog import load_program, parse_term
-from repro.terms import EMPTY_SUBST, Struct, Var, fresh_var, term_variables
+from repro.terms import (
+    EMPTY_SUBST,
+    Struct,
+    Var,
+    fresh_var,
+    term_variables,
+    variant_key,
+)
 
 
 def test_gamma_unifies_with_ground():
@@ -127,3 +134,18 @@ def test_depth_one_coarser_than_depth_three():
     # both remain sound about groundness
     assert coarse[("deep", 1)].ground_on_success == (True,)
     assert fine[("deep", 1)].ground_on_success == (True,)
+
+
+def test_answer_subsumption_keeps_answers_no_kept_answer_covers():
+    # m(C, [Y, C | T]) is an instance of no m(X, [X | _]): only a
+    # subsumption check that binds the answer's own variables (C := Y)
+    # could drop the second clause's shapes
+    program = load_program("m(C, [C|_]).\nm(C, [_|Cs]) :- m(C, Cs).\n")
+    expected = {
+        2: ["m(A, [A|B])", "m(A, [B, C|D])"],
+        3: ["m(A, [A|B])", "m(A, [B, A|C])", "m(A, [B, C, D|E])"],
+    }
+    for depth, shapes in expected.items():
+        answers = analyze_depthk(program, depth=depth)[("m", 2)].answers
+        kept = sorted(variant_key(Struct("m", a.args)) for a in answers)
+        assert kept == sorted(variant_key(parse_term(s)) for s in shapes)

@@ -29,9 +29,10 @@ from repro.analysis.modes import (
 )
 from repro.analysis.safety import BUILTIN_MODES
 from repro.benchdata.loader import load_prolog_benchmark, prolog_benchmark_names
-from repro.prolog.parser import parse_term
-from repro.prolog.program import load_program
+from repro.prolog.parser import Clause, parse_term
+from repro.prolog.program import Program, load_program
 from repro.runtime.budget import Budget
+from repro.terms import Struct, Var
 
 BUGS = Path(__file__).parent / "data" / "modecheck_bugs.pl"
 
@@ -398,3 +399,23 @@ def test_programs_without_entries_still_get_redundancy_checks():
     report = check_modes(load_program("p(a).\np(a).\n"))
     assert [d.rule for d in report.diagnostics] == ["redundant-clause"]
     assert report.reached == {}
+
+
+def test_repeated_fact_variable_does_not_subsume_distinct_ones():
+    # p(A, B) is no instance of p(X, X): A and B must stay distinct
+    report = check_modes(load_program("p(X, X).\np(A, B) :- q(A, B).\nq(a, b).\n"))
+    assert "redundant-clause" not in {d.rule for d in report.diagnostics}
+
+
+def test_colliding_variable_ids_across_clauses_are_no_subsumption():
+    # clauses built by a transformation may share variable ids: the
+    # later head's X is a constant, not the earlier fact's X
+    x = Var(1, "X")
+    for earlier, later in [
+        (Struct("p", (x, "a")), Struct("p", ("b", x))),
+        (Struct("p", (x, x)), Struct("p", ("a", x))),
+    ]:
+        program = Program()
+        program.add_clauses([Clause(earlier, "true"), Clause(later, "true")])
+        report = check_modes(program)
+        assert "redundant-clause" not in {d.rule for d in report.diagnostics}

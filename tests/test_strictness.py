@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchdata import load_funlang_benchmark
 from repro.core.strictness import (
     analyze_strictness,
     demand_join,
@@ -160,3 +161,18 @@ def test_ee_strictness_validated():
     # (run() evaluates to full normal form — an e-demand)
     with pytest.raises(Divergence):
         interp.run("ap(Nil, Cons(bottom, Nil))")
+
+
+def _demands(result):
+    return {
+        key: (fs.demand_e, fs.demand_d) for key, fs in result.functions.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["eu", "mergesort", "nq", "quicksort"])
+def test_demands_do_not_depend_on_the_schedule(name):
+    program = load_funlang_benchmark(name)
+    lifo = analyze_strictness(program, scheduling="lifo")
+    fifo = analyze_strictness(program, scheduling="fifo")
+    assert lifo.completeness == fifo.completeness == "exact"
+    assert _demands(lifo) == _demands(fifo)

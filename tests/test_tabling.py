@@ -1,5 +1,7 @@
 """Tabled engine: completeness, tables, options, hooks."""
 
+import gc
+
 import pytest
 
 from repro.engine import TabledEngine
@@ -236,6 +238,22 @@ def test_answer_subsumption():
     table = engine.table_for(parse_term("p(W)"))
     keys = {variant_key(a) for a in table.answers}
     assert variant_key(parse_term("p(AnyVar)")) in keys
+
+
+def test_a_finished_engine_leaves_no_reference_cycle():
+    # a drained run drops the consumers of its complete tables, so the
+    # table -> consumer -> context -> table cycle does not outlive it
+    program = load_program(GRAPH)
+    gc.collect()
+    gc.disable()
+    try:
+        engine = TabledEngine(program)
+        assert len(engine.solve(parse_term("path(a, W)"))) == 4
+        assert not any(table.consumers for table in engine.all_tables())
+        del engine
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stats_and_table_space():

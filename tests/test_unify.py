@@ -1,4 +1,4 @@
-"""Unification, matching and substitutions — including property tests."""
+"""Unification, subsumption and substitutions — including property tests."""
 
 from hypothesis import given, strategies as st
 
@@ -8,10 +8,11 @@ from repro.terms import (
     Subst,
     Var,
     fresh_var,
-    match,
     occurs_in,
+    subsumes,
     term_to_str,
     unify,
+    variant_key,
 )
 
 # ----------------------------------------------------------------------
@@ -72,14 +73,60 @@ def test_occur_check():
     assert not occurs_in(x, Struct("f", ("a",)), EMPTY_SUBST)
 
 
-def test_match_is_one_way():
+def test_subsumes_is_one_way():
     x = fresh_var()
     y = fresh_var()
-    # pattern var binds
-    s = match(Struct("f", (x,)), Struct("f", ("a",)), EMPTY_SUBST)
-    assert s.resolve(x) == "a"
-    # term var does NOT bind: f(a) does not match against f(Y)
-    assert match(Struct("f", ("a",)), Struct("f", (y,)), EMPTY_SUBST) is None
+    # a general variable binds
+    assert subsumes(Struct("f", (x,)), Struct("f", ("a",)))
+    # a specific variable does NOT bind: f(Y) is no instance of f(a)
+    assert not subsumes(Struct("f", ("a",)), Struct("f", (y,)))
+
+
+def _list(*items, tail="[]"):
+    for item in reversed(items):
+        tail = Struct(".", (item, tail))
+    return tail
+
+
+def test_subsumes_never_binds_a_specific_variable():
+    x, t, c, y, t2 = (fresh_var() for _ in range(5))
+    # m(X,[X|T]) would need X = C and X = Y: only by binding C to Y
+    assert not subsumes(
+        Struct("m", (x, _list(x, tail=t))),
+        Struct("m", (c, _list(y, c, tail=t2))),
+    )
+    assert subsumes(
+        Struct("m", (x, _list(x, tail=t))),
+        Struct("m", (c, _list(c, tail=t2))),
+    )
+
+
+def test_subsumes_with_shared_variable_ids():
+    x, y = fresh_var(), fresh_var()
+    assert not subsumes(Struct("f", (x, x)), Struct("f", (x, y)))
+    assert subsumes(Struct("f", (x, y)), Struct("f", (x, x)))
+    assert subsumes(Struct("f", (x,)), Struct("f", (x,)))
+    assert subsumes(Struct("f", (x, y)), Struct("f", (y, x)))
+
+
+def _apply(theta, t):
+    """``t`` with every variable replaced at once by its image (no chains)."""
+    if isinstance(t, Var):
+        return theta.get(t, t)
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(_apply(theta, a) for a in t.args))
+    return t
+
+
+@given(terms(), st.dictionaries(st.sampled_from(_VARS), terms()))
+def test_subsumes_every_instance(t, theta):
+    assert subsumes(t, _apply(theta, t))
+
+
+@given(terms(), terms())
+def test_mutual_subsumption_is_variance(t1, t2):
+    mutual = subsumes(t1, t2) and subsumes(t2, t1)
+    assert mutual == (variant_key(t1) == variant_key(t2))
 
 
 # NOTE: the property tests run with the occur check ON.  Without it,

@@ -51,6 +51,21 @@ def test_rename_apart_shares_structure():
     assert term_variables(r)[0].id != x.id
 
 
+def test_keyed_ground_subtrees_are_shared_not_copied():
+    x = fresh_var()
+    ground = Struct("g", ("a", Struct("h", (1,))))
+    unkeyed = Struct("g", ("a", Struct("h", (1,))))
+    variant_key(ground)  # keys (and marks) the ground subtree
+    t = Struct("f", (x, ground, unkeyed))
+    for copy in (rename_apart(t), canonical(t)):
+        assert copy.args[1] is ground
+        assert copy.args[2] is not unkeyed and copy.args[2] == unkeyed
+    assert rename_apart(ground) is ground
+    # a ground term reached through a binding is shared as well
+    s = unify(x, ground, EMPTY_SUBST)
+    assert canonical(Struct("f", (x,)), s).args[0] is ground
+
+
 @given(terms())
 def test_canonical_is_variant_of_original(t):
     assert is_variant(t, canonical(t))
