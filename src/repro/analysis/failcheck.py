@@ -470,15 +470,8 @@ def _magic_directed_proof(
 ) -> FailureProof | None:
     """Abstractly evaluate the magic rewrite of the reduced program."""
     from repro.analysis.depgraph import DependencyGraph
-    from repro.core.depthk import (
-        abstract_unify,
-        analyze_depthk,  # noqa: F401 — documented sibling entry point
-        depthk_program,
-        gpk_name,
-        truncate_goal,
-    )
+    from repro.core.depthk import depthk_engine, depthk_program, gpk_name
     from repro.engine.clausedb import ClauseDB
-    from repro.engine.tabling import TabledEngine
     from repro.magic import magic_transform
     from repro.runtime.budget import Budget, ResourceExhausted, governor_for
 
@@ -505,14 +498,7 @@ def _magic_directed_proof(
         )
     else:
         abstract_goal = gpk_name(adorned_query)
-    engine = TabledEngine(
-        db,
-        governor=governor_for(budget, None, None),
-        call_abstraction=lambda goal: truncate_goal(goal, depth),
-        answer_abstraction=lambda answer: truncate_goal(answer, depth),
-        feed_unify=abstract_unify,
-        answer_subsumption=True,
-    )
+    engine = depthk_engine(db, depth, governor_for(budget, None, None))
     try:
         answers = engine.solve(abstract_goal)
     except ResourceExhausted:

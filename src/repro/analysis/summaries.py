@@ -766,12 +766,10 @@ def depthk_via_summaries(
         AUNIFY,
         DepthKResult,
         PredicateShapes,
-        abstract_unify,
+        depthk_engine,
         depthk_program,
         gpk_name,
-        truncate_goal,
     )
-    from repro.engine.tabling import TabledEngine
     from repro.obs.observer import get_observer
     from repro.runtime.budget import Budget, ResourceGovernor
 
@@ -787,18 +785,9 @@ def depthk_via_summaries(
     abstract, warnings = depthk_program(program)
     t1 = time.perf_counter()
 
-    def truncate(term: Term) -> Term:
-        return truncate_goal(term, depth, abstract_integers)
-
     def make_engine(db):
-        return TabledEngine(
-            db,
-            governor=ResourceGovernor(budget),
-            call_abstraction=truncate,
-            answer_abstraction=truncate,
-            feed_unify=abstract_unify,
-            answer_subsumption=True,
-        )
+        return depthk_engine(db, depth, ResourceGovernor(budget),
+                             abstract_integers=abstract_integers)
 
     with obs.maybe_span("analysis.summaries.depthk", depth=depth):
         walk = _walk_components(

@@ -355,6 +355,37 @@ class DepthKResult:
         return self.predicates[indicator]
 
 
+def depthk_engine(
+    db: ClauseDB,
+    depth: int,
+    governor,
+    scheduling: str = "lifo",
+    abstract_integers: bool = True,
+    answer_join=None,
+) -> TabledEngine:
+    """The tabled engine that evaluates depth-``depth`` abstract clauses.
+
+    Calls and answers are truncated to ``depth``, answers are fed back
+    to their consumers by abstract unification, and answer subsumption
+    is on.
+    """
+
+    def truncate(term: Term) -> Term:
+        return truncate_goal(term, depth, abstract_integers)
+
+    return TabledEngine(
+        db,
+        scheduling=scheduling,
+        governor=governor,
+        call_abstraction=truncate,
+        answer_abstraction=truncate,
+        feed_unify=abstract_unify,
+        answer_join=answer_join,
+        # subsumed answers denote no extra instances: merging is sound
+        answer_subsumption=True,
+    )
+
+
 def analyze_depthk(
     program: Program,
     depth: int = 2,
@@ -411,19 +442,9 @@ def analyze_depthk(
             return _attempt(stage_gov, k, answer_join)
 
     def _attempt(stage_gov, k, answer_join=None):
-        engine = TabledEngine(
-            db,
-            scheduling=scheduling,
-            governor=stage_gov,
-            call_abstraction=lambda goal: truncate_goal(goal, k, abstract_integers),
-            answer_abstraction=lambda answer: truncate_goal(
-                answer, k, abstract_integers
-            ),
-            feed_unify=abstract_unify,
-            answer_join=answer_join,
-            # subsumed answers denote no extra instances: merging is sound
-            answer_subsumption=True,
-        )
+        engine = depthk_engine(db, k, stage_gov, scheduling=scheduling,
+                               abstract_integers=abstract_integers,
+                               answer_join=answer_join)
         for goal in goals:
             engine.solve(goal)
         for indicator in program.predicates():

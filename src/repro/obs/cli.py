@@ -37,6 +37,7 @@ Four subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 EXIT_OK = 0
@@ -334,11 +335,20 @@ def run_report(args, out) -> int:
         space_threshold_pct=args.space_threshold,
         p95_threshold_pct=args.p95_threshold,
     )
+    verdict = EXIT_REGRESSIONS if diff["regressions"] else EXIT_OK
     if args.json:
-        print(json_module.dumps(diff, indent=2, sort_keys=True), file=out)
+        text = json_module.dumps(diff, indent=2, sort_keys=True)
     else:
-        print(format_report(diff), file=out)
-    return EXIT_REGRESSIONS if diff["regressions"] else EXIT_OK
+        text = format_report(diff)
+    try:
+        print(text, file=out, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (``report OLD NEW | head -1``): keep
+        # the verdict, and point stdout at devnull so the interpreter's
+        # final flush cannot fail and exit 120 instead
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return verdict
 
 
 # ----------------------------------------------------------------------

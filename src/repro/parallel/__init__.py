@@ -1,7 +1,8 @@
 """Corpus-level parallel evaluation: whole-file analyses across processes.
 
 :func:`map_corpus` (:mod:`repro.parallel.corpus`) fans whole-file
-analyses out across worker processes, which is where multi-core
+analyses out across the worker processes of the supervised
+:class:`~repro.serve.pool.WorkerPool`, which is where multi-core
 throughput comes from; per-worker metrics snapshots are folded back
 into the session observer so the merged registry equals a serial
 run's.  Within one program the bottom-up engine walks the dependency

@@ -3,14 +3,14 @@
 Under the GIL, threads inside one analysis cannot add CPU throughput,
 so multi-core throughput on the hot corpus paths (linting a tree of
 files, a groundness/strictness/depth-k sweep, the benchmark harness)
-comes from here: :func:`map_corpus` runs one whole-file
-analysis per task in a :class:`~concurrent.futures.ProcessPoolExecutor`
+comes from here: :func:`map_corpus` runs one whole-file analysis per
+task on the daemon's supervised :class:`~repro.serve.pool.WorkerPool`
 and returns per-file results *in input order*, so output and exit
 codes are identical whatever the worker count.
 
-Each worker process runs its task under a private
-:class:`~repro.obs.Observer` and ships the registry snapshot (plus its
-most recent trace spans) back with the result; the parent folds every
+:func:`run_task` runs each task, in a worker or serially, under a
+private :class:`~repro.obs.Observer` and returns the registry snapshot
+(plus its trace spans) with the result; the parent folds every
 snapshot into the session observer
 (:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`) and grafts
 the worker spans into the session tracer
@@ -19,17 +19,18 @@ counters/timers/events equal a serial run's and traces keep covering
 the work — observability stays intact under parallelism.
 
 Task payloads are plain JSON-able dicts (they cross the pickle
-boundary), and a worker exception becomes the result's ``error`` field
-rather than killing the whole sweep.
+boundary), and a task exception becomes the result's ``error`` field
+rather than killing the whole sweep; a dead worker costs only its file.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+
+#: most-recent trace spans a task ships back (bounds the pickle size)
+TASK_SPAN_LIMIT = 512
 
 
 @dataclass
@@ -90,89 +91,81 @@ def map_corpus(
     Worker metrics snapshots are folded into ``observer`` (default:
     the ambient observer) in input order.
 
-    A *hard* worker death (``os._exit``, a segfault, the OOM killer)
-    breaks the whole :class:`ProcessPoolExecutor`; the sweep survives
-    it: the pool is respawned, files left unfinished are retried once
-    in single-file isolation, and the culprit file — the one that kills
-    its worker again — is reported as that file's ``error`` result
-    instead of sinking the other files' work.
+    A worker that dies (``os._exit``, a segfault, the OOM killer) is
+    respawned and its file retried once; a second death is that file's
+    ``WorkerCrashed`` error, and no other file is re-run.
+    ``options["inject"]`` maps a path to a process fault
+    (:func:`~repro.runtime.faultinject.apply_process_fault`) that its
+    worker exhibits on every attempt; the serial path ignores it.
     """
+    from repro.obs.observer import resolve_observer
+
     if task not in TASKS:
         raise ValueError(f"unknown corpus task {task!r}; have {sorted(TASKS)}")
-    items = [(str(path), task, options) for path in paths]
-    jobs = resolve_jobs(jobs, limit=len(items) or 1)
-    if jobs <= 1 or len(items) <= 1:
-        records = [_corpus_worker(item) for item in items]
+    paths = [str(path) for path in paths]
+    options = options or {}
+    observer = resolve_observer(observer)
+    jobs = resolve_jobs(jobs, limit=len(paths) or 1)
+    if jobs == 1:
+        records = [run_task(task, path, options) for path in paths]
     else:
-        records = _map_with_recovery(items, jobs, observer)
-    results = [CorpusResult(**record) for record in records]
+        records = _map_on_pool(paths, task, options, jobs, observer)
+    results = [
+        CorpusResult(path, task, record["payload"], record["error"],
+                     record["seconds"], record.get("metrics", {}),
+                     record.get("spans", []))
+        for path, record in zip(paths, records)
+    ]
     _fold_metrics(results, observer)
     return results
 
 
-def _map_with_recovery(items, jobs: int, observer) -> list[dict]:
-    """Fan ``items`` over a process pool, surviving hard worker deaths."""
-    records: list[dict | None] = [None] * len(items)
+def _map_on_pool(paths, task: str, options: dict, jobs: int,
+                 observer) -> list[dict]:
+    """Submit every file to a ``jobs``-worker pool from ``jobs`` threads."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.obs.distributed import TraceContext, new_trace_id
+    from repro.serve.pool import WorkerFailure, WorkerPool
+
+    trace = None
+    if getattr(observer, "enabled", False):
+        # workers ship their spans back only under a trace context
+        trace_id = observer.tracer.trace_id or new_trace_id()
+        trace = TraceContext(trace_id).to_wire()
+    inject = options.get("inject") or {}
+    # the workers fork before any submitting thread starts; respawns
+    # fork from a submitting thread, as the daemon's do
+    pool = WorkerPool(size=jobs, observer=observer)
+
+    def run(index: int) -> dict:
+        path = paths[index]
+        started = time.perf_counter()
+        for _attempt in range(2):
+            try:
+                return pool.submit(index, task, path, options, None,
+                                   inject.get(path), trace)
+            except WorkerFailure as failure:
+                # the pool has already respawned the dead worker
+                error = f"{type(failure).__name__}: {failure}"
+        return {"payload": None, "error": error,
+                "seconds": time.perf_counter() - started}
+
+    threads = ThreadPoolExecutor(max_workers=jobs)
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_corpus_worker, item) for item in items]
-            for index, future in enumerate(futures):
-                try:
-                    records[index] = future.result()
-                except BrokenProcessPool:
-                    continue
-    except BrokenProcessPool:
-        # a worker died so early that submit/shutdown itself broke;
-        # whatever is still None below gets the isolated retry
-        pass
-    suspects = [index for index, record in enumerate(records) if record is None]
-    if suspects:
-        _count_pool_breaks(observer, len(suspects))
-    for index in suspects:
-        # retry each unfinished file once, isolated in its own
-        # single-worker pool: survivors were innocent bystanders of the
-        # pool break, and the culprit identifies itself by killing its
-        # private worker again
-        records[index] = _retry_isolated(items[index])
-    return records
-
-
-def _retry_isolated(item) -> dict:
-    path, task, _options = item
-    started = time.perf_counter()
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(_corpus_worker, item).result()
-    except BrokenProcessPool:
-        return {
-            "path": path,
-            "task": task,
-            "payload": None,
-            "error": "WorkerCrashed: worker process died (hard exit) "
-            "while analyzing this file",
-            "seconds": time.perf_counter() - started,
-            "metrics": {},
-            "spans": [],
-        }
-
-
-def _count_pool_breaks(observer, retried: int) -> None:
-    from repro.obs.observer import resolve_observer
-
-    obs = resolve_observer(observer)
-    if getattr(obs, "enabled", False):
-        obs.registry.counter("parallel.corpus.pool_breaks").inc()
-        obs.registry.counter("parallel.corpus.retried_files").inc(retried)
+        return list(threads.map(run, range(len(paths))))
+    finally:
+        # on an interrupt, queued files are cancelled and closing the
+        # pool ends the running ones
+        threads.shutdown(wait=False, cancel_futures=True)
+        pool.close()
 
 
 def _fold_metrics(results: list[CorpusResult], observer) -> None:
-    from repro.obs.observer import resolve_observer
-
-    obs = resolve_observer(observer)
-    if not getattr(obs, "enabled", False):
+    if not getattr(observer, "enabled", False):
         return
-    registry = obs.registry
-    tracer = getattr(obs, "tracer", None)
+    registry = observer.registry
+    tracer = getattr(observer, "tracer", None)
     for result in results:
         registry.merge_snapshot(result.metrics)
         registry.counter("parallel.corpus.files").inc()
@@ -185,36 +178,34 @@ def _fold_metrics(results: list[CorpusResult], observer) -> None:
                                       "path": result.path})
 
 
-def _corpus_worker(item) -> dict:
-    """Top-level (picklable) worker: run one task under a private observer."""
-    path, task, options = item
-    from repro.obs import Observer, use_observer
+def run_task(task: str, path: str, options: dict, tracer=None,
+             **span_attrs) -> dict:
+    """Run one task under a private observer, in a ``worker.task`` span.
 
-    inject = (options or {}).get("inject") or {}
-    if path in inject:
-        # chaos/regression hook: exhibit a process-level fault for this
-        # file (e.g. {"inject": {"bad.pl": {"kind": "abort"}}} models a
-        # worker OOM-killed while analyzing bad.pl)
-        from repro.runtime.faultinject import apply_process_fault
+    The task body of the pool's worker loop and of the serial path.
+    Returns ``payload`` / ``error`` / ``seconds`` / ``metrics`` (the
+    registry snapshot) / ``spans`` (the finished spans of ``tracer``).
+    """
+    from repro.obs import Observer, Tracer, use_observer
 
-        apply_process_fault(inject[path])
-    observer = Observer()
+    if tracer is None:
+        tracer = Tracer(capacity=TASK_SPAN_LIMIT)
+    observer = Observer(tracer=tracer)
     started = time.perf_counter()
     payload, error = None, None
     try:
-        with use_observer(observer):
-            payload = TASKS[task](path, options or {})
+        with use_observer(observer), tracer.span(
+            "worker.task", task=task, path=path, **span_attrs
+        ):
+            payload = TASKS[task](path, options)
     except Exception as exc:  # noqa: BLE001 — one bad file must not kill the sweep
         error = f"{type(exc).__name__}: {exc}"
     return {
-        "path": path,
-        "task": task,
         "payload": payload,
         "error": error,
         "seconds": time.perf_counter() - started,
         "metrics": observer.registry.snapshot(),
-        # a bounded tail of the worker's trace, for parent-side grafting
-        "spans": observer.tracer.export_spans(limit=64),
+        "spans": tracer.export_spans(),
     }
 
 

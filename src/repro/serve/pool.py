@@ -1,25 +1,28 @@
 """The supervised worker pool: fault-isolated analysis processes.
 
-The daemon never runs untrusted analysis work in its own process (a
-pathological input must not take the service down), and it cannot use
+Analysis work never runs in the process that asked for it (a
+pathological input must not take the analysis daemon, or a corpus
+sweep, down with it), and it cannot run on a
 :class:`concurrent.futures.ProcessPoolExecutor` either — a hung worker
 is invisible to an executor (no per-worker kill), and a hard death
 (``os._exit``, OOM kill) breaks the *whole* executor.  So the pool here
-is a small explicit supervision tree:
+is a small explicit supervision tree, shared by the daemon and by
+:func:`~repro.parallel.corpus.map_corpus`:
 
 * each :class:`_Worker` is one ``multiprocessing.Process`` with a
   duplex pipe; the child loops ``recv -> run task -> send reply``;
 * :meth:`WorkerPool.submit` checks a worker out, enforces the request
-  deadline with ``Connection.poll(timeout)``, and on any fault —
-  closed pipe (crash), poll timeout (hang), malformed reply (corrupt)
-  — **kills and respawns just that worker**, then raises a typed
-  :class:`WorkerFailure` for the daemon's retry/breaker machinery;
-* worker replies carry the worker's private metrics snapshot, folded
-  into the supervisor's registry exactly as :func:`map_corpus` does.
+  deadline (if any) with ``Connection.poll(timeout)``, and on any
+  fault — closed pipe (crash), poll timeout (hang), malformed reply
+  (corrupt) — **kills and respawns just that worker**, then raises a
+  typed :class:`WorkerFailure` for the caller's retry machinery;
+* worker replies carry the worker's private metrics snapshot, which
+  the caller folds into its own registry.
 
-Tasks are the corpus tasks (:data:`repro.parallel.corpus.TASKS`) run
-under a :class:`~repro.runtime.budget.Budget` whose deadline mirrors
-the request deadline — cooperative degradation inside the worker, hard
+Tasks are the corpus tasks (:data:`repro.parallel.corpus.TASKS`), each
+run by :func:`~repro.parallel.corpus.run_task` under a
+:class:`~repro.runtime.budget.Budget` whose deadline mirrors the
+request deadline — cooperative degradation inside the worker, hard
 kill from outside it, in that order.
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import queue
+import threading
 import time
 
 
@@ -57,10 +61,6 @@ class WorkerCorrupt(WorkerFailure):
     kind = "corrupt"
 
 
-#: most-recent worker spans shipped per reply (bounds the pickle size)
-WORKER_SPAN_LIMIT = 512
-
-
 def _worker_main(conn, supervisor_conn) -> None:
     """Child process loop: execute one task per message until EOF/None.
 
@@ -72,10 +72,9 @@ def _worker_main(conn, supervisor_conn) -> None:
     a death the pool unwinds newest first.
     """
     supervisor_conn.close()
-    from repro.obs import Observer, Tracer, TraceContext, use_observer
+    from repro.obs import Tracer, TraceContext
     from repro.obs.distributed import process_label
-    from repro.parallel.corpus import TASKS
-    from repro.runtime.budget import Budget
+    from repro.parallel.corpus import TASK_SPAN_LIMIT, run_task
     from repro.runtime.faultinject import CORRUPT_REPLY, apply_process_fault
 
     label = process_label()
@@ -96,33 +95,19 @@ def _worker_main(conn, supervisor_conn) -> None:
         # records under the request's trace_id with *local* span ids,
         # remapped into the supervisor's id space at stitch time
         context = TraceContext.from_wire(trace) if trace else None
-        tracer = Tracer(capacity=WORKER_SPAN_LIMIT,
-                        trace_id=context.trace_id if context else None)
-        observer = Observer(tracer=tracer)
-        started = time.perf_counter()
-        payload, error = None, None
-        try:
-            options = dict(options or {})
-            if deadline is not None:
-                # tasks that understand budgets degrade cooperatively
-                options.setdefault("deadline", deadline)
-            with use_observer(observer):
-                with tracer.span("worker.task", task=task, path=path,
-                                 process=label):
-                    payload = TASKS[task](path, options)
-        except Exception as exc:  # noqa: BLE001 — becomes a structured reply
-            error = f"{type(exc).__name__}: {exc}"
-        reply = {
-            "job": job_id,
-            "payload": payload,
-            "error": error,
-            "seconds": time.perf_counter() - started,
-            "metrics": observer.registry.snapshot(),
-        }
+        tracer = None
         if context is not None:
+            tracer = Tracer(capacity=TASK_SPAN_LIMIT,
+                            trace_id=context.trace_id)
+        options = dict(options or {})
+        if deadline is not None:
+            # tasks that understand budgets degrade cooperatively
+            options.setdefault("deadline", deadline)
+        reply = run_task(task, path, options, tracer, process=label)
+        reply["job"] = job_id
+        if context is None:
             # only ship spans when the supervisor asked for a trace
-            reply["spans"] = tracer.export_spans(limit=WORKER_SPAN_LIMIT)
-            reply["trace_meta"] = tracer.export_meta()
+            del reply["spans"]
         try:
             conn.send(["!garbled!"] if corrupt else reply)
         except (BrokenPipeError, OSError):
@@ -168,7 +153,7 @@ class WorkerPool:
     ``submit`` is thread-safe (workers are checked out of a queue), so
     concurrent frontend threads share the pool naturally; the checkout
     wait is bounded by the request's own deadline, surfacing as
-    :class:`WorkerHung` rather than an unbounded block.
+    :class:`WorkerHung`, and only a request without one waits unbounded.
     """
 
     def __init__(self, size: int = 2, observer=None):
@@ -181,6 +166,8 @@ class WorkerPool:
         self._idle: queue.Queue = queue.Queue()
         self._workers: list[_Worker] = []
         self._closed = False
+        #: submitting threads replace dead workers concurrently
+        self._respawn_lock = threading.Lock()
         for _ in range(size):
             self._spawn()
 
@@ -195,8 +182,9 @@ class WorkerPool:
         worker.stop(graceful=False)
         if worker in self._workers:
             self._workers.remove(worker)
-        self.respawns += 1
-        self._count("serve.pool.respawns")
+        with self._respawn_lock:
+            self.respawns += 1
+            self._count("serve.pool.respawns")
         if not self._closed:
             self._spawn()
 
@@ -207,21 +195,22 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def submit(self, job_id, task: str, path: str, options: dict,
-               deadline: float, inject: dict | None = None,
+               deadline: float | None, inject: dict | None = None,
                trace: dict | None = None) -> dict:
         """Run one task in a worker; raise :class:`WorkerFailure` on faults.
 
-        ``deadline`` bounds the whole trip: checkout wait + worker time.
-        The returned dict is the worker's reply record (``payload`` /
-        ``error`` / ``seconds`` / ``metrics``, plus ``spans`` when a
-        ``trace`` context was propagated).  Both the reply and any
-        raised :class:`WorkerFailure` carry ``queue_seconds`` — the time
-        spent waiting for a worker checkout — so the daemon's access
-        log can break latency into queue vs. worker time.
+        ``deadline`` bounds the whole trip: checkout wait + worker time;
+        ``None`` waits without a bound (a corpus sweep has no wall-clock
+        deadline).  The returned dict is the worker's reply record
+        (``payload`` / ``error`` / ``seconds`` / ``metrics``, plus
+        ``spans`` when a ``trace`` context was propagated).  Both the
+        reply and any raised :class:`WorkerFailure` carry
+        ``queue_seconds`` — the time spent waiting for a worker checkout
+        — so the daemon's access log can break latency into queue vs.
+        worker time.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        deadline_at = time.monotonic() + deadline
         queue_started = time.perf_counter()
         try:
             worker = self._idle.get(timeout=deadline)
@@ -231,10 +220,14 @@ class WorkerPool:
             )
             failure.queue_seconds = time.perf_counter() - queue_started
             raise failure from None
+        if worker is None:
+            self._idle.put(None)  # close() woke this wait: pass it on
+            raise RuntimeError("pool is closed")
         queue_seconds = time.perf_counter() - queue_started
+        timeout = None if deadline is None else max(0.0, deadline - queue_seconds)
         try:
             reply = self._exchange(worker, job_id, task, path, options,
-                                   deadline_at, inject, trace)
+                                   timeout, inject, trace)
         except WorkerFailure as failure:
             failure.queue_seconds = queue_seconds
             self._replace(worker)
@@ -243,15 +236,13 @@ class WorkerPool:
         reply["queue_seconds"] = queue_seconds
         return reply
 
-    def _exchange(self, worker, job_id, task, path, options, deadline_at,
+    def _exchange(self, worker, job_id, task, path, options, timeout,
                   inject, trace) -> dict:
         try:
-            worker.conn.send((job_id, task, path, options,
-                              max(0.0, deadline_at - time.monotonic()),
-                              inject, trace))
+            worker.conn.send((job_id, task, path, options, timeout, inject,
+                              trace))
         except (BrokenPipeError, OSError) as exc:
             raise WorkerCrashed(f"worker {worker.id} pipe closed: {exc}") from None
-        timeout = max(0.0, deadline_at - time.monotonic())
         if not worker.conn.poll(timeout):
             raise WorkerHung(
                 f"worker {worker.id} gave no reply within the deadline"
@@ -281,6 +272,8 @@ class WorkerPool:
                 self._idle.get_nowait()
             except queue.Empty:
                 break
+        # wake a submit still waiting for a checkout without a deadline
+        self._idle.put(None)
 
     def __enter__(self) -> "WorkerPool":
         return self

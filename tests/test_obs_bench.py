@@ -210,6 +210,50 @@ def test_report_cli_fails_when_eager_open_goals_come_back(tmp_path):
     assert "88 -> 88" in output
 
 
+class HungUpStream(io.StringIO):
+    """A stdout whose reader has gone away, as under ``| head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "new_total, verdict", [(0.1, EXIT_OK), (0.5, EXIT_REGRESSIONS)]
+)
+def test_report_cli_keeps_verdict_when_reader_hangs_up(tmp_path, new_total,
+                                                       verdict):
+    old, new = write_files(
+        tmp_path, [make_row("a", 0.1, 1000)], [make_row("a", new_total, 1000)]
+    )
+    assert main(["report", old, new], out=HungUpStream()) == verdict
+
+
+def test_report_cli_exit_code_survives_closed_stdout(tmp_path):
+    """The process exit code, not only ``main``'s return value: a pipe
+    whose reader is gone must not turn a clean report into exit 120."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    old, new = write_files(
+        tmp_path, [make_row("a", 0.1, 1000)], [make_row("a", 0.1, 1000)]
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.obs", "report", old, new],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert completed.returncode == EXIT_OK, completed.stderr
+    assert "Traceback" not in completed.stderr
+
+
 def test_report_cli_usage_error_on_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -143,18 +143,22 @@ def test_resolve_jobs_rejects_non_integers(bad):
         resolve_jobs(bad)
 
 
-def test_map_corpus_survives_hard_worker_death(tmp_path):
-    """A worker dying mid-sweep (os._exit / OOM kill) must not sink it.
-
-    The killer file is reported as its own per-file error; the innocent
-    bystanders that shared the broken pool are retried and succeed.
-    """
+def four_files_with_a_killer(tmp_path):
     paths = []
     for name in ("a.pl", "killer.pl", "b.pl", "c.pl"):
         path = tmp_path / name
         path.write_text("p(1).\nq(X) :- p(X).\n")
         paths.append(str(path))
-    options = {"inject": {paths[1]: {"kind": "abort"}}}
+    return paths, {"inject": {paths[1]: {"kind": "abort"}}}
+
+
+def test_map_corpus_survives_hard_worker_death(tmp_path):
+    """A worker dying mid-sweep (os._exit / OOM kill) must not sink it.
+
+    The killer file is reported as its own per-file error; the other
+    files' results are those of a clean run.
+    """
+    paths, options = four_files_with_a_killer(tmp_path)
 
     results = map_corpus(paths, task="groundness", jobs=2, options=options)
 
@@ -165,23 +169,46 @@ def test_map_corpus_survives_hard_worker_death(tmp_path):
     assert strip_timings(results[0].payload) == strip_timings(clean[0].payload)
 
 
-def test_map_corpus_hard_death_counts_pool_breaks(tmp_path):
-    path = tmp_path / "boom.pl"
-    path.write_text("p(1).\n")
-    bystander = tmp_path / "fine.pl"
-    bystander.write_text("p(1).\n")
+def test_map_corpus_worker_death_costs_only_its_file(tmp_path):
+    """The killer file is retried once on the respawned worker and then
+    reported; no other file is re-run, so the pool respawns exactly
+    twice, both times for the killer."""
+    paths, options = four_files_with_a_killer(tmp_path)
     observer = Observer()
-    map_corpus(
-        [str(path), str(bystander)],
-        task="groundness",
-        jobs=2,
-        options={"inject": {str(path): {"kind": "abort"}}},
-        observer=observer,
-    )
+
+    results = map_corpus(paths, task="groundness", jobs=2, options=options,
+                         observer=observer)
+
+    assert [r.path for r in results] == paths
+    assert [r.error is None for r in results] == [True, False, True, True]
+    assert results[1].error.startswith("WorkerCrashed: ")
     counters = {n: c.value for n, c in observer.registry.counters.items()}
-    assert counters["parallel.corpus.pool_breaks"] >= 1
-    assert counters["parallel.corpus.retried_files"] >= 1
+    assert counters["serve.pool.respawns"] == 2
     assert counters["parallel.corpus.errors"] == 1
+    assert counters["parallel.corpus.files"] == 4
+
+
+def test_map_corpus_counts_every_death_under_thread_switching(tmp_path):
+    """Four submitting threads (more than the cores CI has) replace dead
+    workers concurrently; with a tiny switch interval a lost update of
+    the respawn count would show as fewer than two deaths per file."""
+    paths = []
+    for index in range(8):
+        path = tmp_path / f"k{index}.pl"
+        path.write_text("p(1).\n")
+        paths.append(str(path))
+    options = {"inject": {path: {"kind": "abort"} for path in paths}}
+    observer = Observer()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = map_corpus(paths, task="groundness", jobs=4,
+                             options=options, observer=observer)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.path for r in results] == paths
+    assert all(r.error.startswith("WorkerCrashed: ") for r in results)
+    assert observer.registry.counter("serve.pool.respawns").value == 16
 
 
 def test_cli_jobs_rejects_non_integer_with_clear_message(tmp_path, capsys):

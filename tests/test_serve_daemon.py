@@ -183,6 +183,41 @@ def test_pool_rejects_corrupt_reply(pool):
     assert pool.respawns == before + 1
 
 
+def test_pool_submit_without_deadline_waits_for_the_reply(pool):
+    record = pool.submit(8, "depthk", QSORT, {}, deadline=None)
+    assert record["error"] is None
+    assert record["payload"]["completeness"] == "exact"
+
+
+def test_closing_the_pool_releases_a_submit_without_deadline():
+    """One hung job holds the only worker and a second submit waits for
+    a checkout without a deadline; closing the pool must end both."""
+    import threading
+
+    outcomes = []
+
+    def submit(job_id):
+        try:
+            pool.submit(job_id, "depthk", QSORT, {}, deadline=None,
+                        inject={"kind": "hang", "seconds": 600})
+        except Exception as exc:  # noqa: BLE001 — the outcome under test
+            outcomes.append(type(exc))
+
+    pool = WorkerPool(size=1)
+    threads = [threading.Thread(target=submit, args=(n,), daemon=True)
+               for n in (1, 2)]
+    for thread in threads:
+        thread.start()
+        time.sleep(0.3)
+    pool.close()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(outcomes, key=lambda kind: kind.__name__) == [
+        RuntimeError, WorkerCrashed,
+    ]
+
+
 def test_pool_reports_analysis_errors_as_records(pool):
     record = pool.submit(7, "depthk", "no-such-file.pl", {}, deadline=30.0)
     assert record["error"] is not None
