@@ -106,13 +106,21 @@ del _field
 
 
 class Table:
-    """One call-table entry: the canonical call, its answers, consumers."""
+    """One call-table entry: the canonical call, its answers, consumers.
+
+    ``answer_keys`` (the variant keys of the answers) and
+    ``answer_index`` (under answer subsumption, the non-ground answers
+    filed by shape; see :func:`_covered`) exist only to reject new
+    answers, so both are dropped, as ``None``, once the table is
+    complete: a complete table gets no new answer.
+    """
 
     __slots__ = (
         "call",
         "key",
         "answers",
         "answer_keys",
+        "answer_index",
         "consumers",
         "complete",
         "ground_call",
@@ -123,7 +131,8 @@ class Table:
         self.call = call
         self.key = key
         self.answers: list[Term] = []
-        self.answer_keys: set = set()
+        self.answer_keys: set | None = set()
+        self.answer_index: dict | None = {}
         self.consumers: list[_Consumer] = []
         self.complete = False
         self.ground_call = False
@@ -344,8 +353,11 @@ class TabledEngine:
             # no new answer reaches a complete table, so its consumers
             # are done; dropping them breaks the table -> consumer ->
             # context -> table cycle, so a dropped engine is freed at
-            # once rather than by the cyclic garbage collector
+            # once rather than by the cyclic garbage collector.  Its
+            # dedup state is dead for the same reason.
             table.consumers.clear()
+            table.answer_keys = None
+            table.answer_index = None
 
     # ------------------------------------------------------------------
     # One resolution step of a task
@@ -539,11 +551,13 @@ class TabledEngine:
         if key in table.answer_keys:
             self._n_dup.value += 1
             return False
-        if self.answer_subsumption:
-            for existing in table.answers:
-                if subsumes(existing, answer):
-                    self._n_dup.value += 1
-                    return False
+        if (
+            self.answer_subsumption
+            and isinstance(answer, Struct)
+            and _covered(table.answer_index, answer)
+        ):
+            self._n_dup.value += 1
+            return False
         table.answer_keys.add(key)
         table.answers.append(answer)
         self._n_answers.value += 1
@@ -629,6 +643,65 @@ class TabledEngine:
             obs=self.obs,
         )
         return bool(nested.solve(subst.resolve(goal)))
+
+
+def _covered(index: dict, answer: Struct) -> bool:
+    """Whether a non-ground answer filed in ``index`` subsumes ``answer``.
+
+    The index files each stored non-ground answer under its *shape*,
+    one kind per argument: a variable is a wildcard and no part of the
+    key; a constant is keyed by itself and a ground structure by its
+    (cached) variant key; a non-ground structure by its functor and
+    arity.  It maps the shape, as a bit mask over ``2 * arity`` token
+    slots, to ``(positions, {tokens at those positions: [answers]})``.
+    A stored answer that subsumes ``answer`` equals it wherever it is
+    ground and shares its functor and arity wherever it holds a
+    non-ground structure, so it sits in the one bucket of its shape
+    that ``answer``'s own tokens select; ``subsumes`` runs only there.
+    Ground answers are never filed: one covers only its variants, which
+    the table's variant-key set rejects first.
+
+    An uncovered non-ground ``answer`` is filed before this returns
+    False: the caller keeps every answer that no stored answer covers.
+    """
+    ground = answer._vkey is not None
+    if ground and not index:
+        return False
+    args = answer.args
+    n = len(args)
+    # slot i: argument i's key as a ground term; slot n + i: its
+    # functor and arity as a structure; None where it has no such key
+    tokens = [None] * (2 * n)
+    present = 0
+    own = 0  # answer's own shape: each argument's most specific slot
+    for i, arg in enumerate(args):
+        if isinstance(arg, Struct):
+            tokens[n + i] = (arg.functor, len(arg.args))
+            present |= 1 << (n + i)
+            if arg._vkey is None:
+                own |= 1 << (n + i)
+                continue
+            tokens[i] = arg._vkey
+        elif isinstance(arg, Var):
+            continue
+        else:
+            tokens[i] = arg
+        present |= 1 << i
+        own |= 1 << i
+    for mask, (positions, buckets) in index.items():
+        if mask & ~present:
+            continue  # the shape wants a key that answer lacks
+        for existing in buckets.get(tuple([tokens[j] for j in positions]), ()):
+            if subsumes(existing, answer):
+                return True
+    if not ground:
+        entry = index.get(own)
+        if entry is None:
+            positions = [j for j in range(2 * n) if own >> j & 1]
+            entry = index[own] = (positions, {})
+        key = tuple([tokens[j] for j in entry[0]])
+        entry[1].setdefault(key, []).append(answer)
+    return False
 
 
 def _add_args(target: Term, extra: tuple) -> Term:

@@ -15,9 +15,10 @@ harness collects one row dict per program (from the
 and exits nonzero when any row regressed past a configurable threshold
 — the check CI runs against the committed seed baseline, so both perf
 regressions (locally) and report-format breakage (anywhere) surface.
-Rows that record engine work (``stats["tasks"]``) are also gated on it,
-at :data:`TASKS_THRESHOLD_PCT`: task counts do not depend on the host,
-so that gate holds on any CI runner.
+Rows that record engine work (``stats``: tasks, calls, answers,
+duplicate answers, resumptions) are also gated on each of those
+counters, at :data:`TASKS_THRESHOLD_PCT`: they do not depend on the
+host, so that gate holds on any CI runner.
 """
 
 from __future__ import annotations
@@ -28,8 +29,12 @@ import platform
 
 SCHEMA_VERSION = 1
 
-#: growth of a row's engine task count, in percent, that is a regression
+#: growth of a row's engine work counter, in percent, that is a regression
 TASKS_THRESHOLD_PCT = 10.0
+#: the engine work counters of a row's ``stats`` that are gated; all are
+#: deterministic for a given program and engine
+GATED_COUNTERS = ("tasks", "calls", "answers", "duplicate_answers",
+                  "resumptions")
 
 
 def _jsonable(value):
@@ -139,9 +144,10 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
     A row *regresses* when its total time grows more than
     ``threshold_pct`` percent over the old file (and, independently,
     when its table space grows past ``space_threshold_pct``, which
-    defaults to the same threshold, or when both sides record engine
-    tasks and they grow past :data:`TASKS_THRESHOLD_PCT`).  Rows
-    present on only one side are reported but are not regressions
+    defaults to the same threshold, or when an engine work counter of
+    :data:`GATED_COUNTERS` that both sides record grows past
+    :data:`TASKS_THRESHOLD_PCT`, listed in ``regressed_counters``).
+    Rows present on only one side are reported but are not regressions
     (benchmarks come and go).
 
     When both payloads carry metrics *histograms* (latency shapes from
@@ -165,10 +171,20 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
             "old_space": o["table_space"],
             "new_space": n["table_space"],
             "space_pct": _pct(o["table_space"], n["table_space"]),
-            "old_tasks": (o.get("stats") or {}).get("tasks"),
-            "new_tasks": (n.get("stats") or {}).get("tasks"),
+            "regressed_counters": [],
         }
-        entry["tasks_pct"] = _pct(entry["old_tasks"], entry["new_tasks"])
+        old_stats, new_stats = o.get("stats") or {}, n.get("stats") or {}
+        for counter in GATED_COUNTERS:
+            if counter not in old_stats or counter not in new_stats:
+                continue
+            pct = _pct(old_stats[counter], new_stats[counter])
+            regressed = pct is not None and pct > TASKS_THRESHOLD_PCT
+            entry[f"old_{counter}"] = old_stats[counter]
+            entry[f"new_{counter}"] = new_stats[counter]
+            entry[f"{counter}_pct"] = pct
+            entry[f"{counter}_regressed"] = regressed
+            if regressed:
+                entry["regressed_counters"].append(counter)
         entry["time_regressed"] = (
             entry["time_pct"] is not None and entry["time_pct"] > threshold_pct
         )
@@ -176,15 +192,11 @@ def diff_benches(old: dict, new: dict, threshold_pct: float = 25.0,
             entry["space_pct"] is not None
             and entry["space_pct"] > space_threshold_pct
         )
-        entry["tasks_regressed"] = (
-            entry["tasks_pct"] is not None
-            and entry["tasks_pct"] > TASKS_THRESHOLD_PCT
-        )
         compared.append(entry)
         if (
             entry["time_regressed"]
             or entry["space_regressed"]
-            or entry["tasks_regressed"]
+            or entry["regressed_counters"]
         ):
             regressions.append(entry)
         elif entry["time_pct"] is not None and entry["time_pct"] < -threshold_pct:
@@ -246,7 +258,7 @@ def format_report(diff: dict) -> str:
         f"{len(diff['regressions'])} regression(s) "
         f"(threshold {diff['threshold_pct']:g}% time / "
         f"{diff['space_threshold_pct']:g}% space / "
-        f"{diff['tasks_threshold_pct']:g}% tasks)"
+        f"{diff['tasks_threshold_pct']:g}% engine counters)"
     ]
     header = (
         f"  {'program':12s} {'old(ms)':>9s} {'new(ms)':>9s} {'time%':>8s} "
@@ -259,8 +271,8 @@ def format_report(diff: dict) -> str:
             flags.append("TIME-REGRESSION")
         if entry["space_regressed"]:
             flags.append("SPACE-REGRESSION")
-        if entry["tasks_regressed"]:
-            flags.append("TASKS-REGRESSION")
+        for counter in entry["regressed_counters"]:
+            flags.append(f"{counter.upper()}-REGRESSION")
         time_pct = entry["time_pct"]
         space_pct = entry["space_pct"]
         time_text = f"{time_pct:+7.1f}%" if time_pct is not None else f"{'n/a':>8s}"
@@ -269,8 +281,7 @@ def format_report(diff: dict) -> str:
         )
         tasks_text = (
             f"{entry['old_tasks']} -> {entry['new_tasks']}"
-            if entry["old_tasks"] is not None and entry["new_tasks"] is not None
-            else "n/a"
+            if "old_tasks" in entry else "n/a"
         )
         out.append(
             f"  {entry['name']:12s} "

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import queue
+import signal
 import threading
 import time
 
@@ -70,7 +71,12 @@ def _worker_main(conn, supervisor_conn) -> None:
     even when it died without closing the pool.  A worker also holds
     the supervisor ends of the workers forked before it, so after such
     a death the pool unwinds newest first.
+
+    SIGINT is ignored: the supervisor owns interrupts, and a worker
+    exits on ``None`` or EOF, so a terminal's Ctrl-C, which reaches the
+    whole process group, interrupts the supervisor alone.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     supervisor_conn.close()
     from repro.obs import Tracer, TraceContext
     from repro.obs.distributed import process_label
@@ -133,14 +139,16 @@ class _Worker:
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def stop(self, graceful: bool = True) -> None:
-        """Ask the worker to exit; escalate to SIGKILL if it will not."""
-        if graceful and self.alive:
+    def ask_to_exit(self) -> None:
+        """Send the exit message; a busy worker reads it after its task."""
+        if self.alive:
             try:
                 self.conn.send(None)
             except (BrokenPipeError, OSError):
                 pass
-            self.process.join(timeout=1.0)
+
+    def stop(self) -> None:
+        """Kill the worker unless it has exited, and release its pipe."""
         if self.alive:
             self.process.kill()
             self.process.join(timeout=5.0)
@@ -179,7 +187,7 @@ class WorkerPool:
 
     def _replace(self, worker: _Worker) -> None:
         """Kill ``worker`` and bring a fresh one up in its place."""
-        worker.stop(graceful=False)
+        worker.stop()
         if worker in self._workers:
             self._workers.remove(worker)
         with self._respawn_lock:
@@ -262,10 +270,17 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop every worker (graceful first, then kill)."""
+        """Stop every worker: ask them all to exit, give them one shared
+        second to do so, then kill the rest."""
         self._closed = True
-        for worker in list(self._workers):
-            worker.stop(graceful=True)
+        workers = list(self._workers)
+        for worker in workers:
+            worker.ask_to_exit()
+        deadline = time.monotonic() + 1.0
+        for worker in workers:
+            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        for worker in workers:
+            worker.stop()
         self._workers.clear()
         while True:
             try:

@@ -15,6 +15,14 @@ from repro.terms.term import Struct, Term, Var, fresh_var
 
 VariantKey = tuple
 
+#: shared leaf keys: one ``("a", atom)`` per atom and one ``("v", i)``
+#: per small ``i``, so the keys a table stores hold references to these
+#: rather than tuples of their own (equal values, equal hashes).  Like
+#: the interpreter's own string interning, the atom map grows with the
+#: distinct atoms a process meets.
+_ATOM_KEYS: dict = {}
+_VAR_KEYS = tuple(("v", i) for i in range(64))
+
 
 def variant_key(term: Term, subst: Subst = EMPTY_SUBST) -> VariantKey:
     """A hashable key equal for exactly the variants of ``term``.
@@ -50,6 +58,8 @@ def _key(term: Term, subst: Subst, numbering: dict[int, int],
         term = subst.walk(term)
         if isinstance(term, Var):
             index = numbering.setdefault(term.id, len(numbering))
+            if index < len(_VAR_KEYS):
+                return _VAR_KEYS[index]
             return ("v", index)
     if isinstance(term, Struct):
         cached = term._vkey
@@ -63,7 +73,10 @@ def _key(term: Term, subst: Subst, numbering: dict[int, int],
         return key
     if isinstance(term, int):
         return ("i", term)
-    return ("a", term)
+    key = _ATOM_KEYS.get(term)
+    if key is None:
+        key = _ATOM_KEYS.setdefault(term, ("a", term))
+    return key
 
 
 def clause_key(clause) -> VariantKey:

@@ -19,7 +19,7 @@ from repro.obs.bench import (
 from repro.obs.cli import EXIT_OK, EXIT_REGRESSIONS, EXIT_USAGE, main
 
 
-def make_row(name, total, space, tasks=None):
+def make_row(name, total, space, tasks=None, stats=None):
     row = {
         "name": name,
         "lines": 10,
@@ -31,6 +31,8 @@ def make_row(name, total, space, tasks=None):
     }
     if tasks is not None:
         row["stats"] = {"tasks": tasks}
+    if stats is not None:
+        row["stats"] = dict(stats)
     return row
 
 
@@ -208,6 +210,55 @@ def test_report_cli_fails_when_eager_open_goals_come_back(tmp_path):
     code, output = run_cli("report", old, new, "--threshold", "1000000")
     assert code == EXIT_OK
     assert "88 -> 88" in output
+
+
+#: eu's Table 3 row
+EU_STATS = {"tasks": 1449, "calls": 132, "answers": 515,
+            "duplicate_answers": 675, "resumptions": 765}
+
+
+def test_report_cli_gates_every_engine_counter(tmp_path):
+    # an answer index that misses a subsumer keeps extra answers while
+    # the other counters may stay put
+    old, new = write_files(
+        tmp_path,
+        [make_row("eu", 0.1, 1000, stats=EU_STATS)],
+        [make_row("eu", 0.1, 1000, stats={**EU_STATS, "answers": 600})],
+    )
+    code, output = run_cli("report", old, new, "--threshold", "1000000")
+    assert code == EXIT_REGRESSIONS
+    assert "ANSWERS-REGRESSION" in output
+    assert "TASKS-REGRESSION" not in output
+    diff = json.loads(run_cli("report", old, new, "--threshold", "1000000",
+                              "--json")[1])
+    assert diff["regressions"][0]["regressed_counters"] == ["answers"]
+    old, new = write_files(
+        tmp_path,
+        [make_row("eu", 0.1, 1000, stats=EU_STATS)],
+        [make_row("eu", 0.1, 1000, stats=EU_STATS)],
+    )
+    code, output = run_cli("report", old, new, "--threshold", "1000000")
+    assert code == EXIT_OK
+    assert "REGRESSION" not in output
+
+
+@pytest.mark.parametrize("counter", sorted(EU_STATS))
+def test_diff_gates_each_counter_past_the_threshold(counter):
+    grown = {**EU_STATS,
+             counter: int(EU_STATS[counter] * (1 + TASKS_THRESHOLD_PCT / 100)) + 1}
+    at_bound = {**EU_STATS,
+                counter: int(EU_STATS[counter] * (1 + TASKS_THRESHOLD_PCT / 100))}
+    old = make_payload([make_row("eu", 0.1, 1000, stats=EU_STATS)])
+    diff = diff_benches(
+        old, make_payload([make_row("eu", 0.1, 1000, stats=grown)]),
+        threshold_pct=1e6,
+    )
+    assert [e["regressed_counters"] for e in diff["regressions"]] == [[counter]]
+    diff = diff_benches(
+        old, make_payload([make_row("eu", 0.1, 1000, stats=at_bound)]),
+        threshold_pct=1e6,
+    )
+    assert diff["regressions"] == []
 
 
 class HungUpStream(io.StringIO):

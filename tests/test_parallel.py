@@ -8,9 +8,12 @@ depends on variables or on a substitution.  A stratified program's
 bottom-up evaluation must come out the same in any worker process.
 """
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -267,6 +270,70 @@ def test_cli_jobs_fatal_file_matches_serial(tmp_path):
     assert results["1"] == results["2"]
     assert results["1"][0] == 2  # EXIT_USAGE on the unparseable file
     assert "syntax error" in results["1"][1]
+
+
+#: two corpus files whose lints each keep a worker busy for seconds
+SLOW_LINTS = ("press1.pl", "press2.pl")
+
+
+def _group_members(pgid: int) -> dict:
+    """Live (non-zombie) members of process group ``pgid``: pid -> CPU
+    seconds used so far."""
+    ticks = os.sysconf("SC_CLK_TCK")
+    members = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # after the command name: state ppid pgrp ... utime(11) stime(12)
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members[int(entry)] = (int(fields[11]) + int(fields[12])) / ticks
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process groups from /proc")
+def test_cli_jobs_interrupt_is_reported_by_the_supervisor_alone(tmp_path):
+    """A terminal's Ctrl-C reaches the whole process group: the busy
+    workers must ignore it, the supervisor alone reports it, and no
+    member of the group outlives the interrupt by 5 s."""
+    bench = REPO_ROOT / "src" / "repro" / "benchdata" / "prolog"
+    stderr_path = tmp_path / "stderr.txt"
+    with open(stderr_path, "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.lint",
+             *(str(bench / name) for name in SLOW_LINTS), "--jobs", "2"],
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            start_new_session=True,
+        )
+    try:
+        # both workers are busy once each has spent CPU time on its file
+        deadline = time.monotonic() + 60.0
+        while True:
+            workers = _group_members(proc.pid)
+            workers.pop(proc.pid, None)
+            if len(workers) == 2 and min(workers.values()) >= 0.3:
+                break
+            assert proc.poll() is None, "the lint ended before its workers ran"
+            assert time.monotonic() < deadline, "the workers never got busy"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        deadline = time.monotonic() + 5.0
+        while _group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _group_members(proc.pid), "the group outlived the interrupt"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert stderr_path.read_text().count("KeyboardInterrupt") <= 1
 
 
 # ----------------------------------------------------------------------

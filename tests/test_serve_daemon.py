@@ -218,6 +218,35 @@ def test_closing_the_pool_releases_a_submit_without_deadline():
     ]
 
 
+def test_closing_the_pool_stops_busy_workers_together():
+    """Three wedged workers share one grace period before the kill, so
+    closing takes about a second, not a second per worker."""
+    import threading
+
+    pool = WorkerPool(size=3)
+    workers = list(pool._workers)
+
+    def submit(job_id):
+        with contextlib.suppress(Exception):
+            pool.submit(job_id, "depthk", QSORT, {}, deadline=None,
+                        inject={"kind": "hang"})
+
+    threads = [threading.Thread(target=submit, args=(n,), daemon=True)
+               for n in range(3)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 30.0
+    while not pool._idle.empty() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.3)  # every checked-out worker has read its hang
+    started = time.monotonic()
+    pool.close()
+    assert time.monotonic() - started < 2.0
+    assert not any(worker.alive for worker in workers)
+    for thread in threads:
+        thread.join(timeout=30)
+
+
 def test_pool_reports_analysis_errors_as_records(pool):
     record = pool.submit(7, "depthk", "no-such-file.pl", {}, deadline=30.0)
     assert record["error"] is not None

@@ -3,11 +3,24 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import analyze_groundness
 from repro.engine import TabledEngine
 from repro.engine.builtins import PrologError
+from repro.engine.tabling import Table
 from repro.prolog import load_program, parse_query, parse_term
-from repro.terms import Struct, fresh_var, term_to_str, variant_key
+from repro.terms import (
+    Struct,
+    Var,
+    canonical,
+    fresh_var,
+    subsumes,
+    term_to_str,
+    variant_key,
+)
+from tests.test_groundness import ALIASED
+from tests.test_unify import _apply
 
 
 def answers(src, query, **kw):
@@ -266,3 +279,116 @@ def test_stats_and_table_space():
     assert engine.table_space_bytes() > 0
     d = engine.stats.as_dict()
     assert set(d) >= {"tasks", "calls", "answers", "resumptions"}
+
+
+# ----------------------------------------------------------------------
+# The answer index: subsumption tests only the answers that could cover
+
+
+_VARS = [Var(2_000_000 + i, f"A{i}") for i in range(3)]
+#: ground subtrees that recur, keyed, so canonical answers share them
+_SHARED = [Struct("g", ("a",)), Struct("g", (1,)),
+           Struct("h", (Struct("g", ("a",)), "1"))]
+for _tree in _SHARED:
+    variant_key(_tree)
+
+_constants = st.sampled_from(["a", "b", 1, "1"])
+_leaves = st.one_of(_constants, st.sampled_from(_VARS), st.sampled_from(_SHARED))
+_nested = st.recursive(
+    _leaves,
+    lambda children: st.builds(
+        lambda f, args: Struct(f, tuple(args)),
+        st.sampled_from(["f", "g"]),
+        st.lists(children, min_size=1, max_size=2),
+    ),
+    max_leaves=4,
+)
+#: arguments of strictness-like flat answers, or depth-k-like nested ones
+_answer_args = st.one_of(
+    st.lists(st.one_of(_constants, st.sampled_from(_VARS)),
+             min_size=3, max_size=3),
+    st.lists(_nested, min_size=3, max_size=3),
+)
+
+
+@st.composite
+def _answer_streams(draw):
+    """Canonical p/3 answers, each an instance of one of a few drawn
+    answers, so that many of them are covered by an earlier one."""
+    bases = draw(st.lists(_answer_args, min_size=1, max_size=5))
+    stream = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        args = draw(st.sampled_from(bases))
+        theta = draw(st.dictionaries(st.sampled_from(_VARS), _nested,
+                                     max_size=2))
+        stream.append(canonical(_apply(theta, Struct("p", tuple(args)))))
+    return stream
+
+
+def _linear_scan(stream):
+    """The reference: each new answer against every kept answer."""
+    kept, keys, duplicates = [], set(), 0
+    for answer in stream:
+        key = variant_key(answer)
+        if key in keys or any(subsumes(old, answer) for old in kept):
+            duplicates += 1
+            continue
+        keys.add(key)
+        kept.append(answer)
+    return kept, duplicates
+
+
+@settings(deadline=None)
+@given(_answer_streams())
+def test_answer_index_keeps_what_a_linear_scan_keeps(stream):
+    engine = TabledEngine(load_program("p(1, 2, 3)."), answer_subsumption=True)
+    call = canonical(Struct("p", tuple(_VARS)))
+    table = Table(call, variant_key(call))
+    for answer in stream:
+        engine._add_answer(table, answer)
+    kept, duplicates = _linear_scan(stream)
+    assert [id(a) for a in table.answers] == [id(a) for a in kept]
+    assert engine.stats.duplicate_answers == duplicates
+    assert engine.stats.answers == len(kept)
+
+
+#: under lifo the last clause runs first, so q(a, _) and q(b, _) are
+#: stored before the five answers they cover arrive
+OPEN_ANSWERS = """
+:- table q/2.
+q(X, f(Y)) :- r(X), r(Y).
+q(a, b).
+q(X, _) :- r(X).
+r(a). r(b).
+"""
+
+
+def test_a_drained_run_releases_dedup_state():
+    engine = TabledEngine(load_program(OPEN_ANSWERS), answer_subsumption=True)
+    first = engine.solve(parse_term("q(W, V)"))
+    table = engine.table_for(parse_term("q(W, V)"))
+    assert [a.args[0] for a in table.answers] == ["a", "b"]
+    assert all(isinstance(a.args[1], Var) for a in table.answers)
+    assert engine.stats.duplicate_answers == 5
+    for done in engine.all_tables():
+        assert done.complete
+        assert done.answer_keys is None and done.answer_index is None
+    # a later solve on the same engine reuses the complete table and
+    # tables a new call of its own
+    assert len(engine.solve(parse_term("q(W, V)"))) == len(first)
+    assert len(engine.solve(parse_term("q(b, f(V))"))) == 1
+    assert all(t.answer_keys is None for t in engine.all_tables())
+
+
+def test_a_deferred_open_goal_solve_runs_on_a_released_engine():
+    result = analyze_groundness(load_program(ALIASED))
+    engine = result._engine
+    assert all(t.answer_keys is None for t in engine.all_tables())
+    before = len(engine.all_tables())
+    # the aliased call may not answer this pattern, so p's open call is
+    # tabled now, on the same engine
+    assert result.ground_on_success_for(("p", 3), (True, False, False)) == (
+        True, True, True,
+    )
+    assert len(engine.all_tables()) > before
+    assert all(t.answer_keys is None for t in engine.all_tables())

@@ -5,6 +5,7 @@ from hypothesis import given
 from repro.terms import (
     EMPTY_SUBST,
     Struct,
+    Var,
     canonical,
     fresh_var,
     is_variant,
@@ -101,3 +102,35 @@ def test_variant_key_separates_non_variants(t1, t2):
 @given(terms())
 def test_variant_key_invariant_under_renaming(t):
     assert variant_key(t) == variant_key(rename_apart(t))
+
+
+def _unshared_key(term, numbering):
+    """A variant key built the plain way: a new tuple for every leaf."""
+    if isinstance(term, Var):
+        return ("v", numbering.setdefault(term.id, len(numbering)))
+    if isinstance(term, Struct):
+        return ("s", term.functor,
+                tuple(_unshared_key(a, numbering) for a in term.args))
+    if isinstance(term, int):
+        return ("i", term)
+    return ("a", term)
+
+
+@given(terms())
+def test_shared_leaf_keys_leave_values_and_hashes_unchanged(t):
+    key, plain = variant_key(t), _unshared_key(t, {})
+    assert key == plain
+    assert hash(key) == hash(plain)
+    assert repr(key) == repr(plain)
+
+
+def test_leaf_keys_are_shared():
+    x, y = fresh_var(), fresh_var()
+    one = variant_key(Struct("f", ("a", x)))
+    two = variant_key(Struct("g", (y, "a")))
+    assert one[2][0] is two[2][1]  # ("a", "a")
+    assert one[2][1] is two[2][0]  # ("v", 0)
+    # past the shared range, a variable's key is built as before
+    many = [fresh_var() for _ in range(100)]
+    assert variant_key(Struct("f", tuple(many)))[2][99] == ("v", 99)
+    assert variant_key(Struct("f", (1, "1")))[2] == (("i", 1), ("a", "1"))
