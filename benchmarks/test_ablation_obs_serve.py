@@ -6,8 +6,14 @@ the latency histogram sample) costs a small constant on the daemon's
 hot path.  The cheapest requests the daemon serves are warm cache hits
 — no pool round-trip, no worker — so they put the *largest* relative
 telemetry cost under the microscope: two otherwise-identical daemons
-(``tracing=True`` vs ``tracing=False``) sweep the same warmed corpus
-in interleaved rounds and the median-of-3 sweep times are compared.
+(``tracing=True`` vs ``tracing=False``) serve the same warmed corpus
+in :data:`WARM_ROUNDS` rounds.  In each round the two daemons answer
+every file back to back, taking turns at going first, so each traced
+request is paired with a plain one a few milliseconds apart.  A
+sweep's overhead is the median extra time of a traced request, per
+file, summed over the corpus: pairing cancels the load drift of a busy
+host, which can halve or double whole sweeps, and the median drops the
+pairs a preemption split.
 
 ``overhead_pct`` lands in ``extra_info`` and in the
 ``BENCH_tableobsserve.json`` rows so the trajectory of the overhead is
@@ -32,6 +38,8 @@ from repro.serve import AnalysisDaemon, check_reply
 CORPUS_DIR = Path(benchdata.__file__).parent / "prolog"
 
 ROUNDS = 3
+#: rounds of paired warm hits per file in the tracing-overhead check
+WARM_ROUNDS = 25
 
 
 def _corpus_paths():
@@ -62,16 +70,16 @@ def _warm(daemon, paths, base_id):
         assert check_reply(reply) == "ok"
 
 
-def _sweep(daemon, paths, base_id):
-    """One warmed pass over the corpus; every request must hit the cache."""
+def _hit(daemon, path, request_id):
+    """Seconds to serve one warmed request, which must hit the cache."""
     started = time.perf_counter()
-    for index, path in enumerate(paths):
-        reply = daemon.handle({"id": base_id + index, "task": "groundness",
-                               "path": path, "deadline": 60})
-        assert check_reply(reply) == "ok"
-        assert reply["cached"]
-        assert reply["trace_id"]
-    return time.perf_counter() - started
+    reply = daemon.handle({"id": request_id, "task": "groundness",
+                           "path": path, "deadline": 60})
+    elapsed = time.perf_counter() - started
+    assert check_reply(reply) == "ok"
+    assert reply["cached"]
+    assert reply["trace_id"]
+    return elapsed
 
 
 @pytest.mark.table("obsserve")
@@ -79,7 +87,9 @@ def test_daemon_tracing_overhead_on_warm_cache(benchmark, bench_observer,
                                                bench_record):
     paths = _corpus_paths()
     lines = _lines(paths)
-    traced_times, plain_times = [], []
+    # per file: the plain hit's seconds, and the traced hit's extra seconds
+    plain_times = {path: [] for path in paths}
+    extra_times = {path: [] for path in paths}
     with AnalysisDaemon(pool_size=2, queue_limit=16, tracing=True) as traced, \
             AnalysisDaemon(pool_size=2, queue_limit=16,
                            tracing=False) as plain:
@@ -87,26 +97,32 @@ def test_daemon_tracing_overhead_on_warm_cache(benchmark, bench_observer,
         _warm(plain, paths, base_id=0)
 
         def interleaved():
-            # alternate the two daemons within each round so drift in
-            # machine load hits both measurements equally
-            for round_index in range(ROUNDS):
-                base = 1000 * (round_index + 1)
-                plain_times.append(_sweep(plain, paths, base))
-                traced_times.append(_sweep(traced, paths, base))
-            return traced_times
+            for round_index in range(WARM_ROUNDS):
+                for index, path in enumerate(paths):
+                    request_id = 1000 * (round_index + 1) + index
+                    if (round_index + index) % 2 == 0:
+                        off = _hit(plain, path, request_id)
+                        on = _hit(traced, path, request_id)
+                    else:
+                        on = _hit(traced, path, request_id)
+                        off = _hit(plain, path, request_id)
+                    plain_times[path].append(off)
+                    extra_times[path].append(on - off)
+            return extra_times
 
         benchmark.pedantic(interleaved, rounds=1, iterations=1)
         # warm hits still leave full telemetry behind on the traced side
         assert len(traced.traces) > 0
-        assert len(traced.access_log) >= len(paths) * (ROUNDS + 1)
+        assert len(traced.access_log) >= len(paths) * (WARM_ROUNDS + 1)
         assert len(plain.traces) == 0
         # fold the traced daemon's metrics (histograms included) into
         # the session registry so the BENCH file carries the latency
         # shape the report's --p95-threshold gate compares
         bench_observer.registry.merge_snapshot(
             traced.observer.registry.snapshot())
-    t_on = statistics.median(traced_times)
-    t_off = statistics.median(plain_times)
+    t_off = sum(statistics.median(times) for times in plain_times.values())
+    t_on = t_off + sum(
+        statistics.median(times) for times in extra_times.values())
     overhead_pct = 100.0 * (t_on - t_off) / t_off if t_off else 0.0
     requests = len(paths)
     benchmark.extra_info.update({
@@ -117,13 +133,13 @@ def test_daemon_tracing_overhead_on_warm_cache(benchmark, bench_observer,
     })
     bench_record("obsserve", _row(
         "warm_tracing_on", lines, t_on,
-        {"requests": requests, "rounds": ROUNDS,
+        {"requests": requests, "rounds": WARM_ROUNDS,
          "per_request_ms": round(t_on * 1000 / requests, 4),
          "overhead_pct": round(overhead_pct, 2)},
     ))
     bench_record("obsserve", _row(
         "warm_tracing_off", lines, t_off,
-        {"requests": requests, "rounds": ROUNDS,
+        {"requests": requests, "rounds": WARM_ROUNDS,
          "per_request_ms": round(t_off * 1000 / requests, 4)},
     ))
     # generous bound: the target is ~5%, but CI timing noise on

@@ -68,6 +68,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.lint import _dynamic_declarations
 from repro.engine.builtins import is_builtin
 from repro.prolog.program import Indicator, Program
 from repro.terms.term import Struct, Term, Var, term_to_str
@@ -111,12 +112,6 @@ class Culprit:
                 f"{self.callee[0]}/{self.callee[1]}"
             )
         return f"no branch of `{self.goal_text}` can succeed"
-
-
-def _dynamic_declarations(program: Program) -> set[Indicator]:
-    from repro.analysis.lint import _dynamic_declarations as impl
-
-    return impl(program)
 
 
 def _goal_culprit(

@@ -71,7 +71,7 @@ from repro.analysis.modecheck import ModeReport, check_modes
 from repro.analysis.safety import check_clause_safety, check_depth_growth
 from repro.analysis.stratify import unstratified_sites
 from repro.engine.builtins import is_builtin
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import Indicator, Program, flatten_conjunction
 from repro.terms.term import Struct, Term
 
 
@@ -157,7 +157,7 @@ def _dynamic_declarations(program: Program) -> set[Indicator]:
     out: set[Indicator] = set()
     for directive in program.directives:
         if isinstance(directive, Struct) and directive.indicator == ("dynamic", 1):
-            for spec in _comma_list(directive.args[0]):
+            for spec in flatten_conjunction(directive.args[0]):
                 if (
                     isinstance(spec, Struct)
                     and spec.indicator == ("/", 2)
@@ -166,15 +166,6 @@ def _dynamic_declarations(program: Program) -> set[Indicator]:
                 ):
                     out.add((spec.args[0], spec.args[1]))
     return out
-
-
-def _comma_list(term: Term) -> list[Term]:
-    items = []
-    while isinstance(term, Struct) and term.indicator == (",", 2):
-        items.append(term.args[0])
-        term = term.args[1]
-    items.append(term)
-    return items
 
 
 def _undefined_calls(program: Program, graph: DependencyGraph) -> list[Diagnostic]:

@@ -159,7 +159,7 @@ def check_modes(
     import time
 
     from repro.runtime.budget import ResourceExhausted, governor_for
-    from repro.runtime.degrade import DegradationEvent, notify_degradation
+    from repro.runtime.degrade import record_trip
 
     report = ModeReport()
     gov = governor_for(budget, governor, fault)
@@ -199,9 +199,7 @@ def check_modes(
                 program, governor=gov, degrade=False, prop_backend=prop_backend
             )
         except ResourceExhausted as exc:
-            event = DegradationEvent.from_error("modecheck", "prop", exc)
-            report.events.append(event)
-            notify_degradation(event)
+            record_trip("modecheck", "prop", exc, report.events)
             report.completeness = "adorn"
             groundness = None
             gov = None if gov is None else gov.restarted()
@@ -221,9 +219,7 @@ def check_modes(
         checker.finish()
         _estimate_determinism(program, checker, report)
     except ResourceExhausted as exc:
-        event = DegradationEvent.from_error("modecheck", report.completeness, exc)
-        report.events.append(event)
-        notify_degradation(event)
+        record_trip("modecheck", report.completeness, exc, report.events)
         report.completeness = "partial"
     report.timings["adornment"] = time.perf_counter() - t0
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.depgraph import DependencyGraph, component_clause_keys
 from repro.prolog.parser import Clause
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import Indicator, Program, conjunction, open_goal
 from repro.terms.term import Struct, Term, Var, fresh_var
 
 #: bump when the serialized layout changes; part of every key
@@ -482,20 +482,13 @@ def _defined_components(program: Program):
     return out
 
 
-def _most_general(name: str, arity: int) -> Term:
-    """``name`` over fresh variables: the open call of a predicate."""
-    if not arity:
-        return name
-    return Struct(name, tuple(fresh_var() for _ in range(arity)))
-
-
 def _never_clause(head_name: str, arity: int) -> Clause:
     """A never-succeeding clause for a callee with an empty summary.
 
     Keeps the predicate *defined* in the component module — calls to a
     provably-empty callee must fail, not raise ``undefined predicate``.
     """
-    return Clause(_most_general(head_name, arity), "fail")
+    return Clause(open_goal(head_name, arity), "fail")
 
 
 @dataclass
@@ -585,7 +578,7 @@ def _walk_components(
             )
             try:
                 for name, arity in defined:
-                    answers = engine.solve(_most_general(head_name(name), arity))
+                    answers = engine.solve(open_goal(head_name(name), arity))
                     entry.predicates[(name, arity)] = PredicateSummary(
                         name=name, arity=arity, answers=list(answers)
                     )
@@ -809,7 +802,7 @@ def depthk_via_summaries(
         name, arity = indicator
         summary = walk.summaries.get(indicator)
         if summary is None:
-            top = _most_general(gpk_name(name), arity)
+            top = open_goal(gpk_name(name), arity)
             predicates[indicator] = PredicateShapes(name, arity, [top], [])
             table_completeness[indicator] = False
             continue
@@ -866,9 +859,4 @@ def _stub_clause(answer: Term, aunify: str) -> Clause:
     literals = [
         Struct(aunify, (var, arg)) for var, arg in zip(head_vars, answer.args)
     ]
-    body: Term = "true"
-    if literals:
-        body = literals[-1]
-        for literal in reversed(literals[:-1]):
-            body = Struct(",", (literal, body))
-    return Clause(head, body, {}, 0)
+    return Clause(head, conjunction(literals), {}, 0)

@@ -25,13 +25,21 @@ finite depth-k domain guarantees termination.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclasses_field
+from dataclasses import dataclass
+from functools import partial
 
 from repro.engine.builtins import DET_BUILTINS, is_builtin
 from repro.engine.clausedb import ClauseDB
 from repro.engine.tabling import TabledEngine
 from repro.prolog.parser import Clause
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import (
+    Indicator,
+    Program,
+    conjunction,
+    entry_points,
+    open_goal,
+)
+from repro.runtime.degrade import AnalysisResult
 from repro.terms.subst import Subst
 from repro.terms.term import Struct, Term, Var, fresh_var, term_to_str, term_variables
 from repro.terms.unify import occurs_in
@@ -233,12 +241,7 @@ class _DepthKAbstraction:
         self.body(goal)
         inner = self.literals
         self.literals = saved
-        if not inner:
-            return "true"
-        result = inner[-1]
-        for literal in reversed(inner[:-1]):
-            result = Struct(",", (literal, result))
-        return result
+        return conjunction(inner)
 
     def _builtin(self, goal: Struct, name: str, arity: int) -> None:
         if name == "=" and arity == 2:
@@ -279,18 +282,9 @@ def depthk_program(program: Program) -> tuple[Program, list[str]]:
             abstraction.literals = []
             abstraction.body(clause.body)
             body = head_literals + abstraction.literals
-            out.add_clause(Clause(new_head, _conj(body), {}, clause.line))
+            out.add_clause(Clause(new_head, conjunction(body), {}, clause.line))
             warnings.extend(abstraction.warnings)
     return out, warnings
-
-
-def _conj(literals: list[Term]) -> Term:
-    if not literals:
-        return "true"
-    result = literals[-1]
-    for literal in reversed(literals[:-1]):
-        result = Struct(",", (literal, result))
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +319,7 @@ class PredicateShapes:
 
 
 @dataclass
-class DepthKResult:
+class DepthKResult(AnalysisResult):
     """``depth`` is the requested bound, ``effective_depth`` the bound
     of the run that produced the result (smaller after a ``reduced-k``
     degradation); ``completeness`` names the ladder stage (``"exact"``,
@@ -333,23 +327,9 @@ class DepthKResult:
 
     predicates: dict[Indicator, PredicateShapes]
     depth: int
-    times: dict[str, float]
-    table_space: int
-    stats: dict
     warnings: list[str]
     abstract: Program | None = None
-    completeness: str = "exact"
     effective_depth: int | None = None
-    events: list = dataclasses_field(default_factory=list)
-    table_completeness: dict = dataclasses_field(default_factory=dict)
-
-    @property
-    def degraded(self) -> bool:
-        return self.completeness != "exact"
-
-    @property
-    def total_time(self) -> float:
-        return sum(self.times.values())
 
     def __getitem__(self, indicator: Indicator) -> PredicateShapes:
         return self.predicates[indicator]
@@ -414,10 +394,11 @@ def analyze_depthk(
     (if any) keeps its global fire count across stages.
     """
     from repro.obs.observer import get_observer
-    from repro.runtime.budget import ResourceExhausted, governor_for
+    from repro.runtime.budget import governor_for
     from repro.runtime.degrade import (
-        DegradationEvent,
-        notify_degradation,
+        Stage,
+        publish_run,
+        run_ladder,
         top_widening_join,
     )
 
@@ -428,67 +409,33 @@ def analyze_depthk(
         db = ClauseDB(abstract, compiled=compiled)
     t1 = time.perf_counter()
 
-    goals = entries if entries is not None else _entry_points(program)
+    goals = entries
+    if goals is None:
+        goals = entry_points(program, gpk_name, GAMMA)
     if not goals:
-        goals = [_open_goal(ind) for ind in program.predicates()]
+        goals = [
+            open_goal(gpk_name(name), arity) for name, arity in program.predicates()
+        ]
 
-    gov = governor_for(budget, governor, fault)
-    completeness = "exact"
-    effective_depth = depth
-    events: list = []
-
-    def attempt(stage_gov, k, answer_join=None, stage="exact"):
-        with obs.maybe_span("analysis.depthk.stage", stage=stage, depth=k):
-            return _attempt(stage_gov, k, answer_join)
-
-    def _attempt(stage_gov, k, answer_join=None):
+    def evaluate(k, stage_gov, answer_join=None):
         engine = depthk_engine(db, k, stage_gov, scheduling=scheduling,
                                abstract_integers=abstract_integers,
                                answer_join=answer_join)
         for goal in goals:
             engine.solve(goal)
-        for indicator in program.predicates():
-            name, arity = indicator
+        for name, arity in program.predicates():
             if not engine.tables_by_pred.get((gpk_name(name), arity)):
-                engine.solve(_open_goal(indicator))
+                engine.solve(open_goal(gpk_name(name), arity))
         return engine
 
-    def record(stage, exc):
-        event = DegradationEvent.from_error("depthk", stage, exc)
-        events.append(event)
-        notify_degradation(event)
-
-    engine = None
-    try:
-        engine = attempt(gov, depth)
-    except ResourceExhausted as exc:
-        if not degrade:
-            raise
-        record("exact", exc)
-        try:
-            engine = attempt(
-                gov.restarted(),
-                depth,
-                top_widening_join(
-                    widen_threshold, metric="analysis.depthk.widenings"
-                ),
-                stage="widened",
-            )
-            completeness = "widened"
-        except ResourceExhausted as exc2:
-            record("widened", exc2)
-            for reduced in range(depth - 1, -1, -1):
-                try:
-                    engine = attempt(
-                        gov.restarted(), reduced, stage=f"reduced-k({reduced})"
-                    )
-                    completeness = f"reduced-k({reduced})"
-                    effective_depth = reduced
-                    break
-                except ResourceExhausted as exc3:
-                    record(f"reduced-k({reduced})", exc3)
-            else:
-                completeness = "top"
+    widen = top_widening_join(widen_threshold, metric="analysis.depthk.widenings")
+    ladder = run_ladder("depthk", [
+        Stage("exact", partial(evaluate, depth), {"depth": depth}),
+        Stage("widened", partial(evaluate, depth, answer_join=widen), {"depth": depth}),
+        *(Stage(f"reduced-k({k})", partial(evaluate, k), {"depth": k})
+          for k in range(depth - 1, -1, -1)),
+    ], governor_for(budget, governor, fault), degrade)
+    engine = ladder.value
     t2 = time.perf_counter()
 
     predicates = {}
@@ -496,11 +443,7 @@ def analyze_depthk(
     for indicator in program.predicates():
         name, arity = indicator
         if engine is None:
-            top = (
-                Struct(gpk_name(name), tuple(fresh_var() for _ in range(arity)))
-                if arity
-                else gpk_name(name)
-            )
+            top = open_goal(gpk_name(name), arity)
             predicates[indicator] = PredicateShapes(name, arity, [top], [])
             table_completeness[indicator] = False
             continue
@@ -515,16 +458,7 @@ def analyze_depthk(
         table_completeness[indicator] = complete
     t3 = time.perf_counter()
 
-    if obs.enabled:
-        registry = obs.registry
-        registry.timer("analysis.depthk.preprocess").observe(t1 - t0)
-        registry.timer("analysis.depthk.analysis").observe(t2 - t1)
-        registry.timer("analysis.depthk.collection").observe(t3 - t2)
-        registry.counter("analysis.depthk.runs").value += 1
-        if completeness != "exact":
-            registry.counter("analysis.depthk.degraded_runs").value += 1
-
-    return DepthKResult(
+    result = DepthKResult(
         predicates=predicates,
         depth=depth,
         times={
@@ -536,30 +470,10 @@ def analyze_depthk(
         stats={} if engine is None else engine.stats.as_dict(),
         warnings=warnings,
         abstract=abstract if keep_abstract else None,
-        completeness=completeness,
-        effective_depth=None if engine is None else effective_depth,
-        events=events,
+        completeness=ladder.completeness,
+        effective_depth=None if engine is None else ladder.stage.attrs["depth"],
+        events=ladder.events,
         table_completeness=table_completeness,
     )
-
-
-def _entry_points(program: Program) -> list[Term]:
-    entries = []
-    for directive in program.directives:
-        if isinstance(directive, Struct) and directive.indicator == ("entry_point", 1):
-            pattern = directive.args[0]
-            if isinstance(pattern, Struct):
-                args = tuple(
-                    GAMMA if a == "g" else fresh_var() for a in pattern.args
-                )
-                entries.append(Struct(gpk_name(pattern.functor), args))
-            elif isinstance(pattern, str):
-                entries.append(gpk_name(pattern))
-    return entries
-
-
-def _open_goal(indicator: Indicator) -> Term:
-    name, arity = indicator
-    if arity == 0:
-        return gpk_name(name)
-    return Struct(gpk_name(name), tuple(fresh_var() for _ in range(arity)))
+    publish_run("depthk", result)
+    return result

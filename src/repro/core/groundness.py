@@ -28,12 +28,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 from repro.engine.builtins import is_builtin
 from repro.engine.tabling import TabledEngine, TableStats
 from repro.prolog.parser import Clause
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import (
+    Indicator,
+    Program,
+    conjunction,
+    entry_points,
+    open_goal,
+)
+from repro.runtime.degrade import AnalysisResult
 from repro.terms.term import Struct, Term, Var, fresh_var, term_variables
 from repro.core.propdom import (
     DEFAULT_MAX_ENUM_ARITY,
@@ -202,12 +210,7 @@ class _ClauseAbstraction:
         self.body(goal, program)
         inner = self.literals
         self.literals = saved
-        if not inner:
-            return "true"
-        result = inner[-1]
-        for literal in reversed(inner[:-1]):
-            result = Struct(",", (literal, result))
-        return result
+        return conjunction(inner)
 
     def _user_call(self, goal: Term) -> None:
         if isinstance(goal, str):
@@ -303,7 +306,9 @@ def abstract_program(
                 new_head = gp_name(name)
             abstraction.body(clause.body, program)
             body_literals = head_literals + abstraction.literals
-            out.add_clause(Clause(new_head, _conj(body_literals), {}, clause.line))
+            out.add_clause(
+                Clause(new_head, conjunction(body_literals), {}, clause.line)
+            )
     needs_support = False
     for nvars in sorted(info.iff_arities):
         if encoding == "compact":
@@ -315,42 +320,9 @@ def abstract_program(
             needs_support = True
     if needs_support:
         out.add_clauses(iff_support_clauses())
-    info.entry_points = _entry_points(program)
+    # entry goals make the *input* groundness (call patterns) meaningful
+    info.entry_points = entry_points(program, gp_name, "true")
     return out, info
-
-
-def _conj(literals: list[Term]) -> Term:
-    if not literals:
-        return "true"
-    result = literals[-1]
-    for literal in reversed(literals[:-1]):
-        result = Struct(",", (literal, result))
-    return result
-
-
-def _entry_points(program: Program) -> list[Term]:
-    """``:- entry_point(p(g, any)).`` directives, as abstract goals.
-
-    ``g`` marks an argument known ground at entry; anything else is
-    unknown.  Used to make the *input* groundness (call patterns)
-    meaningful; without entry points all predicates are analysed with
-    open calls.
-    """
-    entries = []
-    for directive in program.directives:
-        if (
-            isinstance(directive, Struct)
-            and directive.indicator == ("entry_point", 1)
-        ):
-            pattern = directive.args[0]
-            if isinstance(pattern, Struct):
-                args = tuple(
-                    "true" if a == "g" else fresh_var() for a in pattern.args
-                )
-                entries.append(Struct(gp_name(pattern.functor), args))
-            elif isinstance(pattern, str):
-                entries.append(gp_name(pattern))
-    return entries
 
 
 # ----------------------------------------------------------------------
@@ -439,30 +411,18 @@ class PredicateGroundness:
 
 
 @dataclass
-class GroundnessResult:
+class GroundnessResult(AnalysisResult):
     """Full analysis output: per-predicate results plus phase metrics.
 
-    ``completeness`` names the degradation-ladder stage that produced
-    the result (``"exact"``, ``"widened"`` or ``"top"``); ``events``
-    records each budget trip on the way down, and
-    ``table_completeness`` flags, per predicate, whether its tables
-    ran to completion — partial (degraded) results are still sound
-    over-approximations, just less precise.
-
-    ``stats``, ``table_space`` and ``times`` describe the entry-directed
-    run (the paper's Table 1 columns); open calls solved later, on
-    demand, do not change them.
+    ``completeness`` is ``"exact"``, ``"bdd-widened"``, ``"widened"``
+    or ``"top"``.  ``stats``, ``table_space`` and ``times`` describe the
+    entry-directed run (the paper's Table 1 columns); open calls solved
+    later, on demand, do not change them.
     """
 
     predicates: dict[Indicator, PredicateGroundness]
-    times: dict[str, float]
-    table_space: int
-    stats: dict
     warnings: list[str]
     abstract: Program | None = None
-    completeness: str = "exact"
-    events: list = field(default_factory=list)
-    table_completeness: dict = field(default_factory=dict)
     #: which Prop representation produced the per-predicate functions
     #: (``"bdd"`` — the default — or the enumerative ``"enum"`` oracle)
     backend: str = "bdd"
@@ -483,10 +443,6 @@ class GroundnessResult:
     _open_error: Exception | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def degraded(self) -> bool:
-        return self.completeness != "exact"
 
     def ground_on_success_for(self, indicator: Indicator, pattern: tuple) -> tuple:
         """Per-call-pattern output groundness (the mode-checker query).
@@ -527,8 +483,7 @@ class GroundnessResult:
         from repro.obs.observer import get_observer
         from repro.runtime.budget import ResourceExhausted
 
-        indicator = (info.name, info.arity)
-        goal = _open_goal(indicator)
+        goal = open_goal(gp_name(info.name), info.arity)
         backend = _predicate_backend(self.backend, info.arity)
         obs = get_observer()
         with obs.maybe_span(
@@ -550,10 +505,6 @@ class GroundnessResult:
                 raise
         info.tables.append((_pattern(table.call, info.arity), fn))
         info.claims.append(_claim_pattern(table.call, info.arity))
-
-    @property
-    def total_time(self) -> float:
-        return sum(self.times.values())
 
     def __getitem__(self, indicator: Indicator) -> PredicateGroundness:
         return self.predicates[indicator]
@@ -615,8 +566,10 @@ def analyze_groundness(
         governor_for,
     )
     from repro.runtime.degrade import (
-        DegradationEvent,
-        notify_degradation,
+        Stage,
+        publish_run,
+        record_trip,
+        run_ladder,
         top_widening_join,
     )
 
@@ -635,45 +588,19 @@ def analyze_groundness(
 
     goals = entries if entries is not None else info.entry_points
     if not goals:
-        goals = [_open_goal(ind) for ind in info.predicates]
+        goals = [open_goal(gp_name(name), arity) for name, arity in info.predicates]
 
     gov = governor_for(budget, governor, fault)
+    evaluate = partial(_evaluate, db, goals, scheduling)
+    ladder = run_ladder("groundness", [
+        Stage("exact", evaluate),
+        Stage("widened", partial(evaluate, answer_join=top_widening_join(
+            widen_threshold, metric="analysis.groundness.widenings"))),
+    ], gov, degrade)
     # the governor of the stage that built ``engine``: its table
     # functions are collected under it
-    stage_gov = gov
-    completeness = "exact"
-    events: list = []
-
-    def degraded(stage: str, exc: ResourceExhausted) -> None:
-        event = DegradationEvent.from_error("groundness", stage, exc)
-        events.append(event)
-        notify_degradation(event)
-
-    try:
-        with obs.maybe_span("analysis.groundness.stage", stage="exact"):
-            engine = _evaluate(db, goals, scheduling, gov)
-    except ResourceExhausted as exc:
-        if not degrade:
-            raise
-        degraded("exact", exc)
-        try:
-            with obs.maybe_span("analysis.groundness.stage", stage="widened"):
-                stage_gov = gov.restarted()
-                engine = _evaluate(
-                    db,
-                    goals,
-                    scheduling,
-                    stage_gov,
-                    answer_join=top_widening_join(
-                        widen_threshold,
-                        metric="analysis.groundness.widenings",
-                    ),
-                )
-            completeness = "widened"
-        except ResourceExhausted as exc2:
-            degraded("widened", exc2)
-            engine = None
-            completeness = "top"
+    engine, stage_gov = ladder.value, ladder.governor
+    completeness, events = ladder.completeness, ladder.events
     t2 = time.perf_counter()
 
     def predicate_backend(indicator: Indicator) -> str:
@@ -713,7 +640,7 @@ def analyze_groundness(
             except BddNodesExceeded as exc:
                 if not degrade:
                     raise
-                degraded(completeness, exc)
+                record_trip("groundness", completeness, exc, events)
                 try:
                     # worst-case widening (Genaim/Howe/Codish): rebuild
                     # every table function with the definite-core cap
@@ -723,7 +650,7 @@ def analyze_groundness(
                     if completeness == "exact":
                         completeness = "bdd-widened"
                 except ResourceExhausted as exc2:
-                    degraded("bdd-widened", exc2)
+                    record_trip("groundness", "bdd-widened", exc2, events)
                     engine = None
                     completeness = "top"
             except ResourceExhausted as exc:
@@ -731,7 +658,7 @@ def analyze_groundness(
                 # cheaper collection to retry, so bail to all-top
                 if not degrade:
                     raise
-                degraded(completeness, exc)
+                record_trip("groundness", completeness, exc, events)
                 engine = None
                 completeness = "top"
         if engine is None:
@@ -745,15 +672,6 @@ def analyze_groundness(
     if backend == "bdd" and obs.enabled:
         publish_bdd_gauges()
     t3 = time.perf_counter()
-
-    if obs.enabled:
-        registry = obs.registry
-        registry.timer("analysis.groundness.preprocess").observe(t1 - t0)
-        registry.timer("analysis.groundness.analysis").observe(t2 - t1)
-        registry.timer("analysis.groundness.collection").observe(t3 - t2)
-        registry.counter("analysis.groundness.runs").value += 1
-        if completeness != "exact":
-            registry.counter("analysis.groundness.degraded_runs").value += 1
 
     result = GroundnessResult(
         predicates=predicates,
@@ -773,6 +691,7 @@ def analyze_groundness(
     )
     result._engine = engine
     result._collect_governor, result._widen_nodes = stage_gov, widen_nodes
+    publish_run("groundness", result)
     return result
 
 
@@ -795,13 +714,6 @@ def _evaluate(db, goals, scheduling, governor, answer_join=None):
     for goal in goals:
         engine.solve(goal)
     return engine
-
-
-def _open_goal(indicator: Indicator) -> Term:
-    name, arity = indicator
-    if arity == 0:
-        return gp_name(name)
-    return Struct(gp_name(name), tuple(fresh_var() for _ in range(arity)))
 
 
 def _tables_for(engine: TabledEngine, indicator: Indicator):

@@ -30,7 +30,8 @@ answers of ``sp$f(delta, ...)`` (an unbound answer variable reads as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclasses_field
+from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from repro.core.propdom import DEFAULT_MAX_ENUM_ARITY  # reuse the same knob
@@ -48,7 +49,8 @@ from repro.funlang.ast import (
     PVar,
 )
 from repro.prolog.parser import Clause
-from repro.prolog.program import Program
+from repro.prolog.program import Program, conjunction
+from repro.runtime.degrade import AnalysisResult
 from repro.terms.term import Struct, Term, Var, fresh_var, make_list
 
 SP_PREFIX = "sp$"
@@ -280,7 +282,8 @@ def strictness_program(
             compiler.expr(equation.rhs, demand)
             head_args = tuple(compiler.pattern(p) for p in equation.patterns)
             head = Struct(sp_name(fname), (demand, *head_args))
-            out.add_clause(Clause(head, _conj(compiler.literals), {}, equation.line))
+            body = conjunction(compiler.literals)
+            out.add_clause(Clause(head, body, {}, equation.line))
             # track support tables needed
             for literal in compiler.literals:
                 if isinstance(literal, Struct):
@@ -316,15 +319,6 @@ def strictness_program(
     return out, functions
 
 
-def _conj(literals: list[Term]) -> Term:
-    if not literals:
-        return "true"
-    result = literals[-1]
-    for literal in reversed(literals[:-1]):
-        result = Struct(",", (literal, result))
-    return result
-
-
 # ----------------------------------------------------------------------
 # Driver and collection
 
@@ -355,27 +349,13 @@ class FunctionStrictness:
 
 
 @dataclass
-class StrictnessResult:
+class StrictnessResult(AnalysisResult):
     """``completeness`` names the degradation stage that produced the
     result (``"exact"``, ``"widened"`` or ``"top"``); degraded results
     only *weaken* demands (toward ``n``), so they stay sound."""
 
     functions: dict[tuple[str, int], FunctionStrictness]
-    times: dict[str, float]
-    table_space: int
-    stats: dict
     abstract: Program | None = None
-    completeness: str = "exact"
-    events: list = dataclasses_field(default_factory=list)
-    table_completeness: dict = dataclasses_field(default_factory=dict)
-
-    @property
-    def degraded(self) -> bool:
-        return self.completeness != "exact"
-
-    @property
-    def total_time(self) -> float:
-        return sum(self.times.values())
 
     def __getitem__(self, key: tuple[str, int]) -> FunctionStrictness:
         return self.functions[key]
@@ -407,10 +387,11 @@ def analyze_strictness(
     bails to the all-``n`` (no claim) result, which is trivially sound.
     """
     from repro.obs.observer import get_observer
-    from repro.runtime.budget import ResourceExhausted, governor_for
+    from repro.runtime.budget import governor_for
     from repro.runtime.degrade import (
-        DegradationEvent,
-        notify_degradation,
+        Stage,
+        publish_run,
+        run_ladder,
         top_widening_join,
     )
 
@@ -427,11 +408,7 @@ def analyze_strictness(
         db = ClauseDB(abstract, compiled=compiled)
     t1 = time.perf_counter()
 
-    def attempt(stage_gov, answer_join=None, stage="exact"):
-        with obs.maybe_span("analysis.strictness.stage", stage=stage):
-            return _attempt(stage_gov, answer_join)
-
-    def _attempt(stage_gov, answer_join=None):
+    def evaluate(stage_gov, answer_join=None):
         # Answer subsumption collapses the overlapping most-general
         # answers of the compact encoding (an XSB-style engine option;
         # section 6.2).  Early completion is sound here because only
@@ -455,33 +432,12 @@ def analyze_strictness(
                 engine.solve(goal)
         return engine, queries
 
-    gov = governor_for(budget, governor, fault)
-    completeness = "exact"
-    events: list = []
-    engine = queries = None
-    try:
-        engine, queries = attempt(gov)
-    except ResourceExhausted as exc:
-        if not degrade:
-            raise
-        event = DegradationEvent.from_error("strictness", "exact", exc)
-        events.append(event)
-        notify_degradation(event)
-        try:
-            engine, queries = attempt(
-                gov.restarted(),
-                top_widening_join(
-                    widen_threshold, metric="analysis.strictness.widenings"
-                ),
-                stage="widened",
-            )
-            completeness = "widened"
-        except ResourceExhausted as exc2:
-            event = DegradationEvent.from_error("strictness", "widened", exc2)
-            events.append(event)
-            notify_degradation(event)
-            engine = queries = None
-            completeness = "top"
+    ladder = run_ladder("strictness", [
+        Stage("exact", evaluate),
+        Stage("widened", partial(evaluate, answer_join=top_widening_join(
+            widen_threshold, metric="analysis.strictness.widenings"))),
+    ], governor_for(budget, governor, fault), degrade)
+    engine, queries = ladder.value or (None, None)
     t2 = time.perf_counter()
 
     results: dict[tuple[str, int], FunctionStrictness] = {}
@@ -507,16 +463,7 @@ def analyze_strictness(
         table_completeness[(fname, arity)] = complete
     t3 = time.perf_counter()
 
-    if obs.enabled:
-        registry = obs.registry
-        registry.timer("analysis.strictness.preprocess").observe(t1 - t0)
-        registry.timer("analysis.strictness.analysis").observe(t2 - t1)
-        registry.timer("analysis.strictness.collection").observe(t3 - t2)
-        registry.counter("analysis.strictness.runs").value += 1
-        if completeness != "exact":
-            registry.counter("analysis.strictness.degraded_runs").value += 1
-
-    return StrictnessResult(
+    result = StrictnessResult(
         functions=results,
         times={
             "preprocess": t1 - t0,
@@ -526,10 +473,12 @@ def analyze_strictness(
         table_space=0 if engine is None else engine.table_space_bytes(),
         stats={} if engine is None else engine.stats.as_dict(),
         abstract=abstract if keep_abstract else None,
-        completeness=completeness,
-        events=events,
+        completeness=ladder.completeness,
+        events=ladder.events,
         table_completeness=table_completeness,
     )
+    publish_run("strictness", result)
+    return result
 
 
 def _meet_answers(answers, arity: int) -> tuple:

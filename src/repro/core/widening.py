@@ -30,9 +30,9 @@ from repro.engine.builtins import DET_BUILTINS, PrologError
 from repro.engine.clausedb import ClauseDB
 from repro.engine.tabling import TabledEngine
 from repro.prolog.parser import Clause
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import Indicator, Program, open_goal
 from repro.terms.subst import Subst
-from repro.terms.term import Struct, Term, Var, fresh_var
+from repro.terms.term import Struct, Term, Var
 from repro.terms.unify import unify
 
 NEG_INF = "ninf"
@@ -331,11 +331,7 @@ def analyze_intervals(program: Program) -> IntervalResult:
     results: dict[Indicator, Term | None] = {}
     for indicator in program.predicates():
         name, arity = indicator
-        goal: Term = (
-            Struct(gpi_name(name), tuple(fresh_var() for _ in range(arity)))
-            if arity
-            else gpi_name(name)
-        )
+        goal = open_goal(gpi_name(name), arity)
         engine.solve(goal)
         table = engine.table_for(goal)
         answers = table.answers if table is not None else []

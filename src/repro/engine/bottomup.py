@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from repro.engine.builtins import DET_BUILTINS, NONDET_BUILTINS, PrologError
 from repro.obs.observer import resolve_observer
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import Indicator, Program, flatten_conjunction
 from repro.terms.subst import EMPTY_SUBST, Subst
 from repro.terms.term import Struct, Term, Var
 from repro.terms.unify import unify
@@ -132,18 +132,12 @@ class BottomUpEngine:
     def __init__(
         self,
         program: Program,
-        max_rounds: int | None = None,
         scc: bool = True,
         governor=None,
         obs=None,
     ):
         self.program = program
-        self.max_rounds = max_rounds
         self.scc = scc
-        if governor is None and max_rounds is not None:
-            from repro.runtime.budget import Budget, ResourceGovernor
-
-            governor = ResourceGovernor(Budget(rounds=max_rounds))
         self.governor = governor
         self.obs = resolve_observer(obs)
         self.relations: dict[Indicator, _Relation] = {}
@@ -195,7 +189,7 @@ class BottomUpEngine:
         initial: dict[Indicator, list[Term]] = {}
         for indicator in self.program.predicates():
             for clause in self.program.clauses_for(indicator):
-                body = _flatten_body(clause.body)
+                body = flatten_conjunction(clause.body)
                 if not body:
                     fact = canonical(clause.head)
                     if self._relation(indicator).add(fact):
@@ -420,7 +414,7 @@ class BottomUpEngine:
             # binds nothing either way
             self.neg_checks += 1
             if not self._neg_exists(
-                _flatten_body(literal.args[0]), 0, subst, rule.line
+                flatten_conjunction(literal.args[0]), 0, subst, rule.line
             ):
                 self._join(
                     rule,
@@ -487,7 +481,7 @@ class BottomUpEngine:
                         f"bottom-up evaluation (line {line})"
                     )
                 if self._neg_exists(
-                    _flatten_body(branch) + rest, 0, subst, line
+                    flatten_conjunction(branch) + rest, 0, subst, line
                 ):
                     return True
             return False
@@ -497,7 +491,7 @@ class BottomUpEngine:
                 f"evaluation (line {line})"
             )
         if lit_ind in _NEG:
-            if self._neg_exists(_flatten_body(literal.args[0]), 0, subst, line):
+            if self._neg_exists(flatten_conjunction(literal.args[0]), 0, subst, line):
                 return False
             return self._neg_exists(literals, position + 1, subst, line)
         if _is_builtin(lit_ind):
@@ -515,23 +509,6 @@ class BottomUpEngine:
             ):
                 return True
         return False
-
-
-def _flatten_body(body: Term) -> list[Term]:
-    if body == "true":
-        return []
-    items: list[Term] = []
-    stack = [body]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
-            stack.append(term.args[1])
-            stack.append(term.args[0])
-        elif term == "true":
-            continue
-        else:
-            items.append(term)
-    return items
 
 
 def _indicator(term: Term) -> Indicator:

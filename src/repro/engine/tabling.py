@@ -190,7 +190,6 @@ class TabledEngine:
         subsumption: bool = False,
         open_calls: bool = False,
         cut: str = "ignore",
-        max_tasks: int | None = None,
         table_all: bool = False,
         feed_unify=None,
         answer_subsumption: bool = False,
@@ -212,15 +211,10 @@ class TabledEngine:
         self.subsumption = subsumption or open_calls
         self.open_calls = open_calls
         self.cut = cut
-        self.max_tasks = max_tasks
         self.table_all = table_all
         self.feed_unify = feed_unify if feed_unify is not None else unify
         self.answer_subsumption = answer_subsumption
         self.early_completion = early_completion
-        if governor is None and max_tasks is not None:
-            from repro.runtime.budget import Budget, ResourceGovernor
-
-            governor = ResourceGovernor(Budget(tasks=max_tasks))
         self.governor = governor
         # Observability: the engine always owns a private metrics
         # registry (the stats view below is backed by it); spans and

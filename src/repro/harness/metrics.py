@@ -102,12 +102,14 @@ class Row:
         return self.preprocess + self.analysis + self.collection
 
 
-def groundness_row(name: str, source: str, **kw) -> tuple[Row, GroundnessResult]:
-    program = load_program(source)
+def _row(name: str, source: str, parse, analyze, baseline_of, kw: dict):
+    """Parse ``source``, analyse it under a per-row observer, and time
+    the compile baseline: one table row plus the analysis result."""
+    program = parse(source)
     with _row_observer() as degradations:
-        result = analyze_groundness(program, **kw)
+        result = analyze(program, **kw)
         events = degradations()
-    baseline = compile_baseline(source)
+    baseline = baseline_of(source)
     row = Row(
         name=name,
         lines=program.source_lines,
@@ -123,54 +125,21 @@ def groundness_row(name: str, source: str, **kw) -> tuple[Row, GroundnessResult]
         },
     )
     return row, result
+
+
+def groundness_row(name: str, source: str, **kw) -> tuple[Row, GroundnessResult]:
+    return _row(name, source, load_program, analyze_groundness, compile_baseline, kw)
 
 
 def strictness_row(name: str, source: str, **kw) -> tuple[Row, StrictnessResult]:
     from repro.funlang.parser import parse_fun_program
 
-    program = parse_fun_program(source)
-    with _row_observer() as degradations:
-        result = analyze_strictness(program, **kw)
-        events = degradations()
-    baseline = ghc_like_compile_baseline(source)
-    row = Row(
-        name=name,
-        lines=program.source_lines,
-        preprocess=result.times["preprocess"],
-        analysis=result.times["analysis"],
-        collection=result.times["collection"],
-        compile_increase_pct=100.0 * result.total_time / baseline if baseline else None,
-        table_space=result.table_space,
-        extra={
-            "compile_baseline": baseline,
-            "completeness": result.completeness,
-            "degradation_events": events,
-        },
-    )
-    return row, result
+    return _row(name, source, parse_fun_program, analyze_strictness,
+                ghc_like_compile_baseline, kw)
 
 
 def depthk_row(name: str, source: str, **kw) -> tuple[Row, DepthKResult]:
-    program = load_program(source)
-    with _row_observer() as degradations:
-        result = analyze_depthk(program, **kw)
-        events = degradations()
-    baseline = compile_baseline(source)
-    row = Row(
-        name=name,
-        lines=program.source_lines,
-        preprocess=result.times["preprocess"],
-        analysis=result.times["analysis"],
-        collection=result.times["collection"],
-        compile_increase_pct=100.0 * result.total_time / baseline if baseline else None,
-        table_space=result.table_space,
-        extra={
-            "compile_baseline": baseline,
-            "completeness": result.completeness,
-            "degradation_events": events,
-        },
-    )
-    return row, result
+    return _row(name, source, load_program, analyze_depthk, compile_baseline, kw)
 
 
 def render_table(title: str, rows: list[Row], paper: dict | None = None) -> str:

@@ -8,9 +8,8 @@ arguments or by earlier body literals.
 
 The lattice primitives of that strategy — which head variables an
 adornment binds (:func:`head_bound_vars`), the adornment a literal gets
-under a binding set (:func:`literal_adornment`), the binding a literal
-contributes (:func:`bind_literal`) and the flattened conjunction walk
-(:func:`flatten_conjunction`) — are exposed for reuse: the mode checker
+under a binding set (:func:`literal_adornment`) and the binding a
+literal contributes (:func:`bind_literal`) — are exposed for reuse: the mode checker
 (:mod:`repro.analysis.modecheck`) drives the same left-to-right flow
 with a *checking* interpretation of the per-literal binding sets.
 """
@@ -22,7 +21,12 @@ from dataclasses import dataclass, field
 
 from repro.engine.builtins import is_builtin
 from repro.prolog.parser import Clause
-from repro.prolog.program import Indicator, Program
+from repro.prolog.program import (
+    Indicator,
+    Program,
+    conjunction,
+    flatten_conjunction,
+)
 from repro.terms.subst import EMPTY_SUBST
 from repro.terms.term import Struct, Term, Var, term_variables
 
@@ -92,7 +96,7 @@ def _adorn_clause(clause: Clause, adornment: str, worklist: deque) -> Clause:
         new_body.append(_rename_literal(literal, lit_adornment))
         bind_literal(literal, bound)
     new_head = Struct(adorned_name(head.functor, adornment), head.args)
-    return Clause(new_head, _rebuild_body(new_body), clause.varmap, clause.line)
+    return Clause(new_head, conjunction(new_body), clause.varmap, clause.line)
 
 
 def _literal_indicator(literal: Term) -> Indicator | None:
@@ -137,36 +141,3 @@ def _rename_literal(literal: Term, adornment: str) -> Term:
 def bind_literal(literal: Term, bound: set[int]) -> None:
     """Bind every variable of ``literal`` (the optimistic SIPS step)."""
     bound.update(v.id for v in term_variables(literal))
-
-
-def flatten_conjunction(body: Term) -> list[Term]:
-    """Top-level conjuncts of a body, ``true`` removed."""
-    if body == "true":
-        return []
-    items: list[Term] = []
-    stack = [body]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
-            stack.append(term.args[1])
-            stack.append(term.args[0])
-        elif term == "true":
-            continue
-        else:
-            items.append(term)
-    return items
-
-
-# backwards-compatible aliases (pre-exposure private names)
-_literal_adornment = literal_adornment
-_bind_all = bind_literal
-_flatten = flatten_conjunction
-
-
-def _rebuild_body(literals: list[Term]) -> Term:
-    if not literals:
-        return "true"
-    body = literals[-1]
-    for literal in reversed(literals[:-1]):
-        body = Struct(",", (literal, body))
-    return body

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.analysis.depgraph import prune_unreachable
 from repro.magic.adorn import AdornedProgram, adorn_program, adorned_name
 from repro.prolog.parser import Clause
-from repro.prolog.program import Program
+from repro.prolog.program import Program, conjunction, flatten_conjunction
 from repro.terms.term import Struct, Term, Var, term_variables
 from repro.terms.unify import unify
 from repro.terms.subst import EMPTY_SUBST
@@ -129,7 +129,7 @@ def _seed(out: Program, adorned_query: Term) -> None:
 def _rewrite_clause(
     clause: Clause, out: Program, supplementary: bool, counter: list | None = None
 ) -> None:
-    literals = _flatten(clause.body)
+    literals = flatten_conjunction(clause.body)
     head_guard = _magic_literal(clause.head)
 
     if not supplementary:
@@ -138,11 +138,13 @@ def _rewrite_clause(
             if _is_adorned(literal):
                 guard = _magic_literal(literal)
                 if guard is not None:
-                    out.add_clause(
-                        Clause(guard, _rebuild(list(prefix)), clause.varmap, clause.line)
-                    )
+                    out.add_clause(Clause(
+                        guard, conjunction(prefix), clause.varmap, clause.line
+                    ))
             prefix.append(literal)
-        out.add_clause(Clause(clause.head, _rebuild(prefix), clause.varmap, clause.line))
+        out.add_clause(
+            Clause(clause.head, conjunction(prefix), clause.varmap, clause.line)
+        )
         return
 
     # Supplementary variant: thread the prefix state through sup predicates.
@@ -162,7 +164,9 @@ def _rewrite_clause(
             guard = _magic_literal(literal)
             if guard is not None:
                 body = [state_literal] if state_literal is not None else []
-                out.add_clause(Clause(guard, _rebuild(body), clause.varmap, clause.line))
+                out.add_clause(
+                    Clause(guard, conjunction(body), clause.varmap, clause.line)
+                )
         # extend the sup state with this literal
         counter[0] += 1
         for v in term_variables(literal):
@@ -173,10 +177,12 @@ def _rewrite_clause(
             Struct(sup_name, tuple(prefix_vars)) if prefix_vars else sup_name
         )
         body = ([state_literal] if state_literal is not None else []) + [literal]
-        out.add_clause(Clause(sup_head, _rebuild(body), clause.varmap, clause.line))
+        out.add_clause(Clause(sup_head, conjunction(body), clause.varmap, clause.line))
         state_literal = sup_head
     final_body = [state_literal] if state_literal is not None else []
-    out.add_clause(Clause(clause.head, _rebuild(final_body), clause.varmap, clause.line))
+    out.add_clause(
+        Clause(clause.head, conjunction(final_body), clause.varmap, clause.line)
+    )
 
 
 def magic_answers(engine_facts: list[Term], adorned_query: Term) -> list[Term]:
@@ -187,29 +193,3 @@ def magic_answers(engine_facts: list[Term], adorned_query: Term) -> list[Term]:
         if subst is not None:
             results.append(subst.resolve(adorned_query))
     return results
-
-
-def _flatten(body: Term) -> list[Term]:
-    if body == "true":
-        return []
-    items: list[Term] = []
-    stack = [body]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
-            stack.append(term.args[1])
-            stack.append(term.args[0])
-        elif term == "true":
-            continue
-        else:
-            items.append(term)
-    return items
-
-
-def _rebuild(literals: list[Term]) -> Term:
-    if not literals:
-        return "true"
-    body = literals[-1]
-    for literal in reversed(literals[:-1]):
-        body = Struct(",", (literal, body))
-    return body

@@ -24,7 +24,7 @@ multiplicative search into per-step variant-checked tables.
 from __future__ import annotations
 
 from repro.prolog.parser import Clause
-from repro.prolog.program import Program
+from repro.prolog.program import Program, flatten_conjunction
 from repro.terms.term import Struct, Term, term_variables
 
 SUPP_PREFIX = "supp$"
@@ -52,7 +52,7 @@ def supplementary_tables(
             if only_tabled and not program.is_tabled(indicator):
                 out.add_clause(clause)
                 continue
-            literals = _flatten(clause.body)
+            literals = flatten_conjunction(clause.body)
             if len(literals) < min_body or any(_is_control(l) for l in literals):
                 out.add_clause(clause)
                 continue
@@ -101,20 +101,3 @@ def _is_control(literal: Term) -> bool:
     if isinstance(literal, Struct):
         return literal.functor in (";", "->", "\\+", "not", "call", "findall")
     return False
-
-
-def _flatten(body: Term) -> list[Term]:
-    if body == "true":
-        return []
-    items: list[Term] = []
-    stack = [body]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
-            stack.append(term.args[1])
-            stack.append(term.args[0])
-        elif term == "true":
-            continue
-        else:
-            items.append(term)
-    return items

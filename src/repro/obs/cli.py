@@ -168,6 +168,7 @@ def _parse_explain_goal(args, program):
     from repro.core.groundness import gp_name
     from repro.prolog.lexer import PrologSyntaxError
     from repro.prolog.parser import parse_term
+    from repro.prolog.program import open_goal
     from repro.terms.term import Struct, fresh_var
 
     if not args.groundness:
@@ -183,9 +184,7 @@ def _parse_explain_goal(args, program):
             arity = int(arity_text)
         except ValueError:
             raise SystemExit(f"bad predicate indicator {text!r}")
-        if arity == 0:
-            return gp_name(name), None
-        return Struct(gp_name(name), tuple(fresh_var() for _ in range(arity))), None
+        return open_goal(gp_name(name), arity), None
     try:
         pattern = parse_term(text)
     except PrologSyntaxError as exc:

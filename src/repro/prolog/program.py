@@ -13,7 +13,7 @@ Directives recognised:
 from __future__ import annotations
 
 from repro.prolog.parser import Clause, parse_program
-from repro.terms.term import Struct, Term
+from repro.terms.term import Struct, Term, fresh_var
 
 Indicator = tuple[str, int]
 
@@ -49,7 +49,7 @@ class Program:
     def _handle_directive(self, body: Term) -> None:
         self.directives.append(body)
         if isinstance(body, Struct) and body.functor == "table" and body.arity == 1:
-            for spec in _comma_list(body.args[0]):
+            for spec in flatten_conjunction(body.args[0]):
                 indicator = _parse_indicator(spec)
                 if indicator is not None:
                     self.tabled.add(indicator)
@@ -84,13 +84,57 @@ class Program:
         return dup
 
 
-def _comma_list(term: Term) -> list[Term]:
-    items = []
-    while isinstance(term, Struct) and term.functor == "," and term.arity == 2:
-        items.append(term.args[0])
-        term = term.args[1]
-    items.append(term)
+def flatten_conjunction(body: Term) -> list[Term]:
+    """Top-level conjuncts of a body, in order, ``true`` removed."""
+    if body == "true":
+        return []
+    items: list[Term] = []
+    stack = [body]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Struct) and term.functor == "," and term.arity == 2:
+            stack.append(term.args[1])
+            stack.append(term.args[0])
+        elif term != "true":
+            items.append(term)
     return items
+
+
+def conjunction(literals: list[Term]) -> Term:
+    """The right-nested ``,``/2 conjunction of ``literals`` (``true`` if none)."""
+    if not literals:
+        return "true"
+    body = literals[-1]
+    for literal in reversed(literals[:-1]):
+        body = Struct(",", (literal, body))
+    return body
+
+
+def open_goal(name: str, arity: int) -> Term:
+    """``name`` over ``arity`` fresh variables: a predicate's open call."""
+    if not arity:
+        return name
+    return Struct(name, tuple(fresh_var() for _ in range(arity)))
+
+
+def entry_points(program: Program, rename, ground: Term) -> list[Term]:
+    """``:- entry_point(p(g, any)).`` directives, as abstract goals.
+
+    ``rename`` maps a source predicate name to its abstract counterpart;
+    a ``g`` argument (known ground at entry) becomes ``ground`` and any
+    other argument a fresh variable.  Without entry points an analysis
+    falls back to open calls.
+    """
+    entries = []
+    for directive in program.directives:
+        if isinstance(directive, Struct) and directive.indicator == ("entry_point", 1):
+            pattern = directive.args[0]
+            if isinstance(pattern, Struct):
+                args = tuple(ground if a == "g" else fresh_var() for a in pattern.args)
+                entries.append(Struct(rename(pattern.functor), args))
+            elif isinstance(pattern, str):
+                entries.append(rename(pattern))
+    return entries
 
 
 def _parse_indicator(spec: Term) -> Indicator | None:

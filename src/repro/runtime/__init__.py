@@ -13,8 +13,9 @@ This package provides the pieces:
   engines), and the :class:`ResourceExhausted` error taxonomy;
 * :mod:`repro.runtime.faultinject` — deterministic fault injection for
   exercising every recovery path in tests;
-* :mod:`repro.runtime.degrade` — the staged degradation ladder used by
-  the analyses (in-table widening to ⊤, depth reduction, all-top);
+* :mod:`repro.runtime.degrade` — the staged degradation ladder: one
+  runner the analyses hand their stages to (in-table widening to ⊤,
+  depth reduction, all-top), and the result base they share;
 * :mod:`repro.runtime.soundness` — automated over-approximation checks
   between a degraded and an unrestricted analysis result.
 """

@@ -20,22 +20,29 @@ mechanism, in-table widening via the ``answer_join`` hook):
 4. **top** — give up on evaluation and return the all-⊤ result, which
    is trivially sound for the over-approximating analyses here.
 
-Each failed stage is recorded as a :class:`DegradationEvent`; the
-events ride on the result object and are broadcast to registered
-listeners (:mod:`repro.harness.metrics` installs one).
+Each driver hands its rungs to one runner, :func:`run_ladder`, as
+ordered :class:`Stage` data: groundness and strictness run exact →
+widened, depth-k runs exact → widened → reduced-k(depth-1 … 0), and
+every ladder ends at top.  The runner owns the policy the drivers
+share: the first stage runs under the caller's governor and each retry
+under a restarted one, every stage runs inside an
+``analysis.<name>.stage`` span, and a trip either re-raises (no
+degradation asked for) or is recorded by :func:`record_trip` — the one
+place a :class:`DegradationEvent` is built, kept on the result and
+broadcast to registered listeners and to the current observer.
+:class:`AnalysisResult` holds what every driver's result carries, and
+:func:`publish_run` the phase timers and run counters every driver
+reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.runtime.budget import ResourceExhausted, _describe
 from repro.terms.term import Struct, Term, fresh_var
 from repro.terms.variant import variant_key
-
-#: ladder stage names, most precise first
-STAGES = ("exact", "bdd-widened", "widened", "reduced-k", "top")
-
 
 @dataclass
 class DegradationEvent:
@@ -102,6 +109,128 @@ def notify_degradation(event: DegradationEvent) -> None:
             stage=event.stage,
             kind=event.kind,
         )
+
+
+def record_trip(analysis: str, stage: str, error: ResourceExhausted,
+                events: list) -> None:
+    """Record one budget trip: build its event, keep it in ``events``
+    and broadcast it."""
+    event = DegradationEvent.from_error(analysis, stage, error)
+    events.append(event)
+    notify_degradation(event)
+
+
+# ----------------------------------------------------------------------
+# The ladder runner
+
+
+class Stage(NamedTuple):
+    """One rung of an analysis's ladder.
+
+    ``run`` evaluates the analysis under the governor it is handed and
+    returns what collection reads; ``attrs`` are extra attributes of
+    the rung's ``analysis.<name>.stage`` span (depth-k's ``depth``).
+    """
+
+    name: str
+    run: Callable
+    attrs: dict = {}
+
+
+@dataclass
+class LadderRun:
+    """Where a ladder stopped: the rung that finished, or ``top``."""
+
+    stage: Stage | None
+    #: what the finished rung's ``run`` returned (``None`` at top)
+    value: object
+    #: the governor the last rung ran under
+    governor: object
+    events: list
+
+    @property
+    def completeness(self) -> str:
+        return "top" if self.stage is None else self.stage.name
+
+
+def run_ladder(analysis: str, stages, governor, degrade: bool = True) -> LadderRun:
+    """Run ``stages`` in order until one finishes within its budget.
+
+    The first stage runs under ``governor``, each retry under
+    ``governor.restarted()`` (counters re-armed; a fault injector keeps
+    its fire count).  A trip re-raises when ``degrade`` is false and is
+    otherwise recorded (:func:`record_trip`) before the next stage runs;
+    when every stage trips the ladder ends at ``top``.
+    """
+    from repro.obs.observer import get_observer
+
+    obs = get_observer()
+    events: list = []
+    stage_governor = governor
+    for index, stage in enumerate(stages):
+        if index and governor is not None:
+            stage_governor = governor.restarted()
+        try:
+            with obs.maybe_span(
+                f"analysis.{analysis}.stage", stage=stage.name, **stage.attrs
+            ):
+                value = stage.run(stage_governor)
+        except ResourceExhausted as exc:
+            if not degrade:
+                raise
+            record_trip(analysis, stage.name, exc, events)
+            continue
+        return LadderRun(stage, value, stage_governor, events)
+    return LadderRun(None, None, stage_governor, events)
+
+
+@dataclass(kw_only=True)
+class AnalysisResult:
+    """What every analysis result carries beside its findings.
+
+    ``times`` holds the paper's phase clocks (preprocess / analysis /
+    collection), ``table_space`` and ``stats`` describe the engine that
+    produced the result.  ``completeness`` names the ladder stage that
+    did (``"exact"`` … ``"top"``); ``events`` records each budget trip
+    on the way down, and ``table_completeness`` flags, per predicate,
+    whether its tables ran to completion — partial (degraded) results
+    are still sound over-approximations, just less precise.
+    """
+
+    times: dict[str, float]
+    table_space: int
+    stats: dict
+    completeness: str = "exact"
+    events: list = field(default_factory=list)
+    table_completeness: dict = field(default_factory=dict)
+
+    @property
+    def degraded(self) -> bool:
+        return self.completeness != "exact"
+
+    @property
+    def total_time(self) -> float:
+        return sum(self.times.values())
+
+
+def publish_run(analysis: str, result: AnalysisResult) -> None:
+    """Report a finished run to the current observer.
+
+    Each phase clock feeds the ``analysis.<analysis>.<phase>`` timer,
+    and the run counts in ``analysis.<analysis>.runs`` (plus
+    ``degraded_runs`` when the ladder left the exact stage).
+    """
+    from repro.obs.observer import get_observer
+
+    obs = get_observer()
+    if not obs.enabled:
+        return
+    registry = obs.registry
+    for phase, seconds in result.times.items():
+        registry.timer(f"analysis.{analysis}.{phase}").observe(seconds)
+    registry.counter(f"analysis.{analysis}.runs").value += 1
+    if result.degraded:
+        registry.counter(f"analysis.{analysis}.degraded_runs").value += 1
 
 
 # ----------------------------------------------------------------------

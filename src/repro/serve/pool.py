@@ -28,6 +28,7 @@ kill from outside it, in that order.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import queue
@@ -124,16 +125,24 @@ class _Worker:
     """One supervised analysis process."""
 
     _ids = itertools.count(1)
+    #: held from creating a worker's pipe until the supervisor has closed
+    #: the child's end of it: a worker forked by another thread in
+    #: between would inherit that end, and the first worker's death would
+    #: then never show as EOF to a supervisor waiting on its reply
+    _spawn_lock = threading.Lock()
 
     def __init__(self, context):
         self.id = next(self._ids)
-        self.conn, child_conn = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_worker_main, args=(child_conn, self.conn), daemon=True,
-            name=f"repro-serve-worker-{self.id}",
-        )
-        self.process.start()
-        child_conn.close()
+        with self._spawn_lock:
+            self.conn, child_conn = context.Pipe(duplex=True)
+            self.process = context.Process(
+                target=_worker_main, args=(child_conn, self.conn), daemon=True,
+                name=f"repro-serve-worker-{self.id}",
+            )
+            self.process.start()
+            child_conn.close()
+        self._stop_lock = threading.Lock()
+        self._stopped = False
 
     @property
     def alive(self) -> bool:
@@ -148,11 +157,23 @@ class _Worker:
                 pass
 
     def stop(self) -> None:
-        """Kill the worker unless it has exited, and release its pipe."""
-        if self.alive:
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        self.conn.close()
+        """Kill the worker unless it has exited, and release its pipe.
+
+        ``close`` and a submitting thread that saw the kill may stop the
+        same worker at once, so the first caller does the work and any
+        other returns once it is done: a second ``conn.close`` could
+        close an fd number a newer pipe already reuses, and a second
+        reaper's ``waitpid`` fails with ECHILD, which ``is_alive`` reads
+        as "still running".
+        """
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            if self.alive:
+                self.process.kill()
+                self.process.join(timeout=5.0)
+            self.conn.close()
 
 
 class WorkerPool:
@@ -188,7 +209,7 @@ class WorkerPool:
     def _replace(self, worker: _Worker) -> None:
         """Kill ``worker`` and bring a fresh one up in its place."""
         worker.stop()
-        if worker in self._workers:
+        with contextlib.suppress(ValueError):  # close() may have cleared it
             self._workers.remove(worker)
         with self._respawn_lock:
             self.respawns += 1

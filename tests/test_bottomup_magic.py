@@ -12,6 +12,7 @@ from repro.magic import (
     supplementary_transform,
 )
 from repro.prolog import load_program, parse_query, parse_term
+from repro.runtime.budget import Budget, ResourceGovernor
 from repro.terms import term_to_str, variant_key
 
 GRAPH = """
@@ -76,7 +77,8 @@ def test_round_budget():
     n(z).
     n(s(X)) :- n(X).
     """
-    engine = BottomUpEngine(load_program(src), max_rounds=10)
+    engine = BottomUpEngine(load_program(src),
+                            governor=ResourceGovernor(Budget(rounds=10)))
     with pytest.raises(PrologError):
         engine.evaluate()
 
@@ -121,7 +123,8 @@ def test_magic_on_append_terminates():
     program = load_program(src)
     goal, _ = parse_query("ap([1,2], [3], Z)")
     magic_program, adorned_query = magic_transform(program, goal)
-    engine = BottomUpEngine(magic_program, max_rounds=50)
+    engine = BottomUpEngine(magic_program,
+                            governor=ResourceGovernor(Budget(rounds=50)))
     results = magic_answers(engine.facts(adorned_query.indicator), adorned_query)
     assert len(results) == 1
     assert term_to_str(results[0].args[2]) == "[1,2,3]"

@@ -120,9 +120,11 @@ def test_builtin_only_body_rules_fire_in_both_modes():
 def test_round_budget_still_enforced():
     src = "n(z).\nn(s(X)) :- n(X)."
     with pytest.raises(PrologError, match="round budget"):
-        BottomUpEngine(load_program(src), max_rounds=5, scc=True).evaluate()
+        BottomUpEngine(load_program(src), scc=True,
+                       governor=ResourceGovernor(Budget(rounds=5))).evaluate()
     with pytest.raises(PrologError, match="round budget"):
-        BottomUpEngine(load_program(src), max_rounds=5, scc=False).evaluate()
+        BottomUpEngine(load_program(src), scc=False,
+                       governor=ResourceGovernor(Budget(rounds=5))).evaluate()
 
 
 def test_scc_gauges_set():

@@ -132,9 +132,6 @@ def test_tabled_task_budget():
     engine = TabledEngine(db, governor=ResourceGovernor(Budget(tasks=3)))
     with pytest.raises(TaskBudgetExceeded):
         engine.solve(parse_term("path(a, X)"))
-    # legacy kwarg spells the same governor
-    with pytest.raises(TaskBudgetExceeded):
-        TabledEngine(db, max_tasks=3).solve(parse_term("path(a, X)"))
 
 
 def test_tabled_answer_budget():

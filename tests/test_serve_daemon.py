@@ -247,6 +247,91 @@ def test_closing_the_pool_stops_busy_workers_together():
         thread.join(timeout=30)
 
 
+def test_two_threads_stopping_one_worker_release_it_once():
+    """``close`` and a submitting thread that saw the kill can stop the
+    same worker at once; neither may fail, and the worker ends reaped.
+
+    A tiny switch interval makes the threads interleave inside ``stop``;
+    without its lock the pipe is closed twice (``EBADF``) in most rounds.
+    """
+    import multiprocessing
+    import threading
+
+    from repro.serve.pool import _Worker
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    failures = []
+    try:
+        for _ in range(20):
+            worker = _Worker(multiprocessing.get_context())
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def stop():
+                barrier.wait()
+                try:
+                    worker.stop()
+                except Exception as exc:  # noqa: BLE001 - collected
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=stop) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            stuck = any(thread.is_alive() for thread in threads)
+            if errors or stuck or worker.alive:
+                failures.append((errors, stuck, worker.alive))
+    finally:
+        sys.setswitchinterval(previous)
+    assert failures == []
+
+
+def test_workers_spawned_at_once_each_hold_only_their_own_pipe():
+    """Threads replacing dead workers fork concurrently.  A worker forked
+    while another's pipe was half set up would keep that pipe's child end
+    open, so the other worker's death would never reach its supervisor
+    as EOF, and a submit without a deadline would wait forever."""
+    import multiprocessing
+    import threading
+
+    from repro.serve.pool import _Worker
+
+    context = multiprocessing.get_context()
+    workers = []
+    lock = threading.Lock()
+
+    def spawn():
+        for _ in range(3):
+            worker = _Worker(context)
+            with lock:
+                workers.append(worker)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=spawn) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    unseen = []
+    try:
+        for worker in workers:
+            worker.process.kill()
+            worker.process.join(timeout=5)
+            if not worker.conn.poll(2.0):  # EOF is readable at once
+                unseen.append(worker.id)
+    finally:
+        for worker in workers:
+            worker.stop()
+    assert len(workers) == 9 and unseen == []
+
+
 def test_pool_reports_analysis_errors_as_records(pool):
     record = pool.submit(7, "depthk", "no-such-file.pl", {}, deadline=30.0)
     assert record["error"] is not None

@@ -10,6 +10,7 @@ from repro.engine import TabledEngine
 from repro.engine.builtins import PrologError
 from repro.engine.tabling import Table
 from repro.prolog import load_program, parse_query, parse_term
+from repro.runtime.budget import Budget, ResourceGovernor
 from repro.terms import (
     Struct,
     Var,
@@ -183,7 +184,8 @@ def test_cut_handling_options():
 
 def test_task_budget():
     with pytest.raises(PrologError):
-        answers(GRAPH, "path(X, Y)", max_tasks=3)
+        answers(GRAPH, "path(X, Y)",
+                governor=ResourceGovernor(Budget(tasks=3)))
 
 
 def test_call_abstraction_hook():
