@@ -31,6 +31,10 @@ def main() -> None:
 
     for indicator, shapes in result.predicates.items():
         name, arity = indicator
+        if not shapes.call_patterns:
+            # the entry goal never calls it, so no table was built
+            print(f"{name}/{arity}: not reached")
+            continue
         print(f"{name}/{arity}: ground on success = {shapes.ground_on_success}")
         for shape in sorted(shapes.shapes()):
             print("   answer shape:", shape)

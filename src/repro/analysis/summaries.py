@@ -9,7 +9,8 @@ component of the dependency condensation is analysed once with **open
 calls** — placeholder parameters standing in for call-site bindings —
 against the *summaries* of its callees instead of their clauses, and
 the open result is *instantiated* per call site
-(:func:`instantiate`, :meth:`~repro.core.propdom.PropFunction.assume`).
+(:meth:`~repro.core.groundness.PredicateGroundness.ground_on_success_for`,
+:meth:`~repro.core.propdom.PropFunction.assume`).
 
 Soundness of instantiation (the argument DESIGN.md §7 spells out): the
 abstract success set of a predicate — the set of ground
@@ -401,56 +402,6 @@ def store_for(path: str | None) -> SummaryStore:
     return store
 
 
-# ----------------------------------------------------------------------
-# Instantiation
-
-
-def instantiate(
-    summary: PredicateSummary, call_pattern: tuple, prop_backend: str | None = None
-):
-    """Specialize an open Prop summary at one call pattern.
-
-    ``call_pattern`` is argument-wise ``True`` (known ground at the
-    call site) or anything else; the result is the per-argument
-    definite-groundness tuple for calls matching that pattern — the
-    same answer :meth:`PredicateGroundness.ground_on_success_for`
-    computes from whole-program tables (see the module docstring for
-    why).  Under the (default) BDD backend the summary's answer terms
-    become one ROBDD directly — no 2^(free vars) row expansion.
-    """
-    _count_obs("instantiations")
-    query = tuple(value is True for value in call_pattern)
-    return _success_function(
-        summary.arity, summary.answers, prop_backend
-    ).assume(query).definitely_true()
-
-
-def _success_function(arity: int, answers, prop_backend: str | None = None):
-    """The Prop function of a summary's open answers, per backend.
-
-    Serialization stays backend-independent: summaries store answer
-    *terms* (``to_data``/``from_data`` above), and this is where terms
-    become a Prop value — enum- and BDD-produced summaries are
-    store-compatible by construction, with identical digests.
-    """
-    from repro.core.propdom import (
-        MAX_IFF_NVARS,
-        PropFunction,
-        resolve_prop_backend,
-    )
-
-    if resolve_prop_backend(prop_backend) == "bdd" or arity > MAX_IFF_NVARS:
-        from repro.bdd.propfn import BddPropFunction
-
-        return BddPropFunction.from_answers(arity, answers)
-    from repro.core.groundness import _expand
-
-    rows: set = set()
-    for answer in answers:
-        rows.update(_expand(answer, arity))
-    return PropFunction(arity, rows)
-
-
 def _count_obs(name: str, amount: int = 1) -> None:
     from repro.obs.observer import get_observer
 
@@ -641,7 +592,9 @@ def groundness_via_summaries(
         PredicateGroundness,
         abstract_program,
         gp_name,
+        success_function,
     )
+    from repro.core.propdom import resolve_prop_backend
     from repro.engine.tabling import TabledEngine
     from repro.obs.observer import get_observer
 
@@ -670,13 +623,16 @@ def groundness_via_summaries(
             raise walk.trips[0]
     t2 = time.perf_counter()
 
+    # summaries store answer terms, so the store and its digests do not
+    # depend on the backend that turns them into Prop values here
+    backend = resolve_prop_backend(prop_backend)
     predicates = {}
     table_completeness = {}
     for indicator in info.predicates:
         name, arity = indicator
         summary = walk.summaries.get(indicator)
         answers = summary.answers if summary is not None else []
-        success = _success_function(arity, answers, prop_backend)
+        success = success_function(answers, arity, backend)
         open_pattern = tuple(None for _ in range(arity))
         predicates[indicator] = PredicateGroundness(
             name=name,

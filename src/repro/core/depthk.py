@@ -35,8 +35,8 @@ from repro.prolog.parser import Clause
 from repro.prolog.program import (
     Indicator,
     Program,
+    analysis_goals,
     conjunction,
-    entry_points,
     open_goal,
 )
 from repro.runtime.degrade import AnalysisResult
@@ -382,9 +382,13 @@ def analyze_depthk(
 ) -> DepthKResult:
     """Depth-k groundness/shape analysis via the tabled engine.
 
-    Entry goals use the source predicate names (``gpk$`` is added); the
-    ``:- entry_point(p(g, any))`` directives of the source program are
-    honoured with ``g`` mapping to ``gamma``.
+    Goal-directed: the run solves the goals
+    :func:`~repro.prolog.program.analysis_goals` picks — ``entries``
+    (``gpk$``-named abstract goals), else the ``:- entry_point(p(g,
+    any))`` directives with ``g`` mapping to ``gamma``, else every
+    predicate's open goal — and tables only the calls they reach.  A
+    predicate they do not reach keeps a record with no call patterns
+    and no answers; ``entries=[]`` tables every predicate's open call.
 
     Anytime mode: under a ``budget``/``governor``, a budget trip with
     ``degrade=True`` walks the ladder — (1) retry with in-table
@@ -409,13 +413,7 @@ def analyze_depthk(
         db = ClauseDB(abstract, compiled=compiled)
     t1 = time.perf_counter()
 
-    goals = entries
-    if goals is None:
-        goals = entry_points(program, gpk_name, GAMMA)
-    if not goals:
-        goals = [
-            open_goal(gpk_name(name), arity) for name, arity in program.predicates()
-        ]
+    goals = analysis_goals(program, entries, gpk_name, GAMMA)
 
     def evaluate(k, stage_gov, answer_join=None):
         engine = depthk_engine(db, k, stage_gov, scheduling=scheduling,
@@ -423,9 +421,6 @@ def analyze_depthk(
                                answer_join=answer_join)
         for goal in goals:
             engine.solve(goal)
-        for name, arity in program.predicates():
-            if not engine.tables_by_pred.get((gpk_name(name), arity)):
-                engine.solve(open_goal(gpk_name(name), arity))
         return engine
 
     widen = top_widening_join(widen_threshold, metric="analysis.depthk.widenings")

@@ -37,6 +37,7 @@ from repro.prolog.parser import Clause
 from repro.prolog.program import (
     Indicator,
     Program,
+    analysis_goals,
     conjunction,
     entry_points,
     open_goal,
@@ -484,7 +485,6 @@ class GroundnessResult(AnalysisResult):
         from repro.runtime.budget import ResourceExhausted
 
         goal = open_goal(gp_name(info.name), info.arity)
-        backend = _predicate_backend(self.backend, info.arity)
         obs = get_observer()
         with obs.maybe_span(
             "analysis.groundness.open", predicate=f"{info.name}/{info.arity}"
@@ -497,8 +497,8 @@ class GroundnessResult(AnalysisResult):
                 with bdd_governed(
                     self._collect_governor if self.backend == "bdd" else None
                 ):
-                    fn = _table_function(
-                        table, info.arity, backend, self._widen_nodes
+                    fn = success_function(
+                        table.answers, info.arity, self.backend, self._widen_nodes
                     )
             except ResourceExhausted as exc:
                 self._engine, self._open_error = None, exc
@@ -536,7 +536,8 @@ def analyze_groundness(
 
     ``entries`` are abstract entry goals (``gp$``-named); when omitted,
     ``:- entry_point(...)`` directives are used, and failing those every
-    predicate is analysed with an open call.
+    predicate is analysed with an open call
+    (:func:`~repro.prolog.program.analysis_goals`, as for depth-k).
 
     Anytime mode: a ``budget`` (or prebuilt ``governor``) limits the
     evaluation; on a budget trip with ``degrade=True`` the driver walks
@@ -586,9 +587,7 @@ def analyze_groundness(
         db = ClauseDB(abstract, compiled=compiled)
     t1 = time.perf_counter()
 
-    goals = entries if entries is not None else info.entry_points
-    if not goals:
-        goals = [open_goal(gp_name(name), arity) for name, arity in info.predicates]
+    goals = analysis_goals(program, entries, gp_name, "true")
 
     gov = governor_for(budget, governor, fault)
     evaluate = partial(_evaluate, db, goals, scheduling)
@@ -731,7 +730,7 @@ def _collect(
 
     Every table contributes its call pattern (input modes), its answers
     to the aggregate success function, and a per-table function with
-    its claim pattern for pattern queries (:func:`_table_function`).
+    its claim pattern for pattern queries (:func:`success_function`).
     """
     name, arity = indicator
     success = prop_function_class(backend).bottom(arity)
@@ -741,7 +740,7 @@ def _collect(
     answer_count = 0
     for table in _tables_for(engine, indicator):
         pattern = _pattern(table.call, arity)
-        fn = _table_function(table, arity, backend, widen_nodes)
+        fn = success_function(table.answers, arity, backend, widen_nodes)
         calls.append(pattern)
         tables.append((pattern, fn))
         claims.append(_claim_pattern(table.call, arity))
@@ -758,28 +757,33 @@ def _collect(
     )
 
 
-def _table_function(table, arity: int, backend: str, widen_nodes: int | None):
-    """One table's answers as a Prop function.
+def success_function(
+    answers, arity: int, backend: str, widen_nodes: int | None = None
+):
+    """Abstract ``gp$`` answers as a Prop function, under ``backend``.
 
-    ``backend="bdd"`` builds the function symbolically from the answer
+    This is where answer terms become a Prop value, for a table of the
+    whole-program analysis and for a stored summary alike.  The
+    ``"bdd"`` representation is built symbolically from the answer
     terms (:meth:`~repro.bdd.propfn.BddPropFunction.from_answers`) —
     polynomial in the answer count, where the enumerative path expands
-    2^(free vars) rows per answer.  ``widen_nodes`` (the
-    ``bdd-widened`` ladder stage) applies worst-case widening to a
-    function past that node count.
+    2^(free vars) rows per answer; ``"enum"`` falls back to it past
+    :data:`MAX_IFF_NVARS` (:func:`_predicate_backend`).  ``widen_nodes``
+    (the ``bdd-widened`` ladder stage) applies worst-case widening to a
+    BDD function past that node count.
     """
-    if backend == "bdd":
+    if _predicate_backend(backend, arity) == "bdd":
         from repro.bdd.propfn import BddPropFunction
         from repro.runtime.degrade import worst_case_widen
 
-        fn = BddPropFunction.from_answers(arity, table.answers)
+        fn = BddPropFunction.from_answers(arity, answers)
         if widen_nodes is not None:
             fn = worst_case_widen(
                 fn, widen_nodes, metric="analysis.groundness.bdd_widenings"
             )
         return fn
     rows: set[tuple] = set()
-    for answer in table.answers:
+    for answer in answers:
         rows.update(_expand(answer, arity))
     return PropFunction(arity, rows)
 

@@ -252,7 +252,11 @@ def _pct(old, new):
 
 
 def format_report(diff: dict) -> str:
-    """Human-readable regression report for one table diff."""
+    """Human-readable regression report for one table diff.
+
+    One line per row; under it, every gated engine counter that changed,
+    so a baseline refresh shows its counter diff.
+    """
     out = [
         f"table {diff['table']}: {len(diff['compared'])} rows compared, "
         f"{len(diff['regressions'])} regression(s) "
@@ -273,12 +277,8 @@ def format_report(diff: dict) -> str:
             flags.append("SPACE-REGRESSION")
         for counter in entry["regressed_counters"]:
             flags.append(f"{counter.upper()}-REGRESSION")
-        time_pct = entry["time_pct"]
-        space_pct = entry["space_pct"]
-        time_text = f"{time_pct:+7.1f}%" if time_pct is not None else f"{'n/a':>8s}"
-        space_text = (
-            f"{space_pct:+7.1f}%" if space_pct is not None else f"{'n/a':>8s}"
-        )
+        time_text = _pct_text(entry["time_pct"], 7)
+        space_text = _pct_text(entry["space_pct"], 7)
         tasks_text = (
             f"{entry['old_tasks']} -> {entry['new_tasks']}"
             if "old_tasks" in entry else "n/a"
@@ -289,6 +289,14 @@ def format_report(diff: dict) -> str:
             f"{(entry['new_total'] or 0) * 1000:9.2f} "
             f"{time_text} {space_text} {tasks_text:>18s}  {' '.join(flags)}".rstrip()
         )
+        changed = [
+            f"{c} {entry[f'old_{c}']} -> {entry[f'new_{c}']} "
+            f"({_pct_text(entry[f'{c}_pct'])})"
+            for c in GATED_COUNTERS
+            if entry.get(f"old_{c}") != entry.get(f"new_{c}")
+        ]
+        if changed:
+            out.append(f"  {'':12s} changed: {', '.join(changed)}")
     for name in diff["only_old"]:
         out.append(f"  {name:12s} removed (present only in old file)")
     for name in diff["only_new"]:
@@ -305,18 +313,19 @@ def format_report(diff: dict) -> str:
             f"{'old p95':>8s} {'new p95':>8s} {'p95%':>8s}  flags"
         )
         for entry in histograms:
-            p95_pct = entry["p95_pct"]
-            pct_text = (
-                f"{p95_pct:+7.1f}%" if p95_pct is not None else f"{'n/a':>8s}"
-            )
             out.append(
                 f"  {entry['name']:32s} "
                 f"{_ms(entry['old_p50']):>8s} {_ms(entry['new_p50']):>8s} "
                 f"{_ms(entry['old_p95']):>8s} {_ms(entry['new_p95']):>8s} "
-                f"{pct_text}"
+                f"{_pct_text(entry['p95_pct'], 7)}"
                 f"{'  P95-REGRESSION' if entry['p95_regressed'] else ''}"
             )
     return "\n".join(out)
+
+
+def _pct_text(pct, width: int = 0) -> str:
+    """A signed percentage, or ``n/a``, right-aligned in ``width + 1``."""
+    return f"{pct:+{width}.1f}%" if pct is not None else f"{'n/a':>{width + 1}s}"
 
 
 def _ms(seconds) -> str:

@@ -122,8 +122,7 @@ def entry_points(program: Program, rename, ground: Term) -> list[Term]:
 
     ``rename`` maps a source predicate name to its abstract counterpart;
     a ``g`` argument (known ground at entry) becomes ``ground`` and any
-    other argument a fresh variable.  Without entry points an analysis
-    falls back to open calls.
+    other argument a fresh variable.
     """
     entries = []
     for directive in program.directives:
@@ -135,6 +134,17 @@ def entry_points(program: Program, rename, ground: Term) -> list[Term]:
             elif isinstance(pattern, str):
                 entries.append(rename(pattern))
     return entries
+
+
+def analysis_goals(
+    program: Program, entries: list[Term] | None, rename, ground: Term
+) -> list[Term]:
+    """The goals an analysis run solves: explicit ``entries``, else the
+    ``:- entry_point`` directives, else every predicate's open goal."""
+    goals = entries if entries is not None else entry_points(program, rename, ground)
+    return goals or [
+        open_goal(rename(name), arity) for name, arity in program.predicates()
+    ]
 
 
 def _parse_indicator(spec: Term) -> Indicator | None:

@@ -84,6 +84,22 @@ def _report_header(path: str, analysis: str, result, out) -> None:
               f"(spent {event.spent} of {event.limit})", file=out)
 
 
+def _describe(analysis: str, result, pred) -> str:
+    """One predicate's groundness or depth-k report.
+
+    Both analyses table only the calls their entry goals reach; a
+    predicate outside them has no answers, whose all-ground reading
+    would be a vacuous claim.  A ``top`` result claims ⊤ everywhere.
+    """
+    if not pred.call_patterns and result.completeness != "top":
+        return "not reached"
+    succ = "".join("g" if g else "?" for g in pred.ground_on_success)
+    if analysis == "depthk":
+        return f"ground-on-success={succ} shapes={len(pred.answers)}"
+    call = "".join("g" if g else "?" for g in pred.ground_at_call)
+    return f"ground-on-success={succ} ground-at-call={call}"
+
+
 def _run_one(path: str, analysis: str, args, out) -> int:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -118,23 +134,14 @@ def _run_one(path: str, analysis: str, args, out) -> int:
                 result = analyze_depthk(
                     program, depth=args.depth, budget=budget, degrade=degrade
                 )
-                _report_header(path, analysis, result, out)
-                for indicator, shapes in sorted(result.predicates.items()):
-                    name, arity = indicator
-                    flags = "".join("g" if g else "?" for g in shapes.ground_on_success)
-                    print(f"  {name}/{arity}: ground-on-success={flags} "
-                          f"shapes={len(shapes.answers)}", file=out)
             else:
                 from repro.core.groundness import analyze_groundness
 
                 result = analyze_groundness(program, budget=budget, degrade=degrade)
-                _report_header(path, analysis, result, out)
-                for indicator, pred in sorted(result.predicates.items()):
-                    name, arity = indicator
-                    succ = "".join("g" if g else "?" for g in pred.ground_on_success)
-                    call = "".join("g" if g else "?" for g in pred.ground_at_call)
-                    print(f"  {name}/{arity}: ground-on-success={succ} "
-                          f"ground-at-call={call}", file=out)
+            _report_header(path, analysis, result, out)
+            for (name, arity), pred in sorted(result.predicates.items()):
+                print(f"  {name}/{arity}: {_describe(analysis, result, pred)}",
+                      file=out)
     except ResourceExhausted as exc:
         print(f"{path}: resource exhausted: {exc}", file=out)
         return EXIT_EXHAUSTED

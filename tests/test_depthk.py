@@ -1,15 +1,24 @@
 """Depth-k abstract-term analysis: abstract unification, truncation."""
 
+import pytest
+
+from repro.benchdata import PAPER_TABLE4
+from repro.benchdata.loader import load_prolog_benchmark
 from repro.core.depthk import (
     GAMMA,
     abstract_unify,
     analyze_depthk,
     depth_truncate,
+    depthk_engine,
+    depthk_program,
+    gpk_name,
     is_abstractly_ground,
     truncate_goal,
 )
 from repro.core import analyze_groundness
+from repro.engine.clausedb import ClauseDB
 from repro.prolog import load_program, parse_term
+from repro.prolog.program import entry_points
 from repro.terms import (
     EMPTY_SUBST,
     Struct,
@@ -149,3 +158,34 @@ def test_answer_subsumption_keeps_answers_no_kept_answer_covers():
         answers = analyze_depthk(program, depth=depth)[("m", 2)].answers
         kept = sorted(variant_key(Struct("m", a.args)) for a in answers)
         assert kept == sorted(variant_key(parse_term(s)) for s in shapes)
+
+
+@pytest.mark.parametrize("name", sorted(set(PAPER_TABLE4) - {"read"}))
+def test_analysis_solves_only_the_entry_goals(name):
+    """Table 4 measures goal-directed evaluation: the entry goals' work."""
+    program = load_prolog_benchmark(name)
+    entries = entry_points(program, gpk_name, GAMMA)
+    assert entries
+    abstract, _ = depthk_program(program)
+    engine = depthk_engine(ClauseDB(abstract), 2, None)
+    for goal in entries:
+        engine.solve(goal)
+    result = analyze_depthk(program, depth=2)
+    assert result.stats["tasks"] == engine.stats.tasks
+    assert result.table_space == engine.table_space_bytes()
+
+
+def test_unreached_predicate_keeps_an_empty_record():
+    program = load_program(
+        ":- entry_point(app(g, g, any)).\n"
+        "app([], Ys, Ys).\n"
+        "app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).\n"
+        "wrap(X, boxed(X)).\n"
+    )
+    result = analyze_depthk(program, depth=2)
+    assert result[("app", 3)].call_patterns
+    wrap = result[("wrap", 2)]
+    assert (wrap.call_patterns, wrap.answers) == ([], [])
+    assert result.table_completeness[("wrap", 2)]
+    # the goal-independent run still tables it
+    assert analyze_depthk(program, depth=2, entries=[])[("wrap", 2)].answers

@@ -242,6 +242,45 @@ def test_report_cli_gates_every_engine_counter(tmp_path):
     assert "REGRESSION" not in output
 
 
+#: disj's Table 4 row, before and after depth-k stopped solving the open
+#: goal of every predicate its entries do not reach
+DISJ_EAGER = {"tasks": 391, "calls": 60, "answers": 97,
+              "duplicate_answers": 109, "resumptions": 270}
+DISJ_DIRECTED = {"tasks": 136, "calls": 36, "answers": 35,
+                 "duplicate_answers": 20, "resumptions": 65}
+
+
+def test_report_prints_every_changed_counter_of_a_row(tmp_path):
+    # a baseline refresh shows its whole counter diff, not only tasks
+    old, new = write_files(
+        tmp_path,
+        [make_row("disj", 0.1, 12351, stats=DISJ_EAGER),
+         make_row("kalah", 0.1, 24875, stats=EU_STATS)],
+        [make_row("disj", 0.1, 6741, stats=DISJ_DIRECTED),
+         make_row("kalah", 0.1, 24875, stats={**EU_STATS, "answers": 520})],
+    )
+    code, output = run_cli("report", old, new, "--threshold", "1000000",
+                           "--space-threshold", "0")
+    assert code == EXIT_OK
+    # each row's counter line follows it
+    lines = output.splitlines()
+    changed = {
+        lines[i - 1].split()[0]: line.split("changed: ")[1]
+        for i, line in enumerate(lines) if "changed: " in line
+    }
+    assert changed == {
+        "disj": "tasks 391 -> 136 (-65.2%), calls 60 -> 36 (-40.0%), "
+                "answers 97 -> 35 (-63.9%), duplicate_answers 109 -> 20 "
+                "(-81.7%), resumptions 270 -> 65 (-75.9%)",
+        # an unchanged counter is left out
+        "kalah": "answers 515 -> 520 (+1.0%)",
+    }
+    # a row whose counters all held prints no counter line
+    code, output = run_cli("report", new, new, "--threshold", "1000000")
+    assert code == EXIT_OK
+    assert "changed:" not in output
+
+
 @pytest.mark.parametrize("counter", sorted(EU_STATS))
 def test_diff_gates_each_counter_past_the_threshold(counter):
     grown = {**EU_STATS,

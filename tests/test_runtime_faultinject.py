@@ -6,6 +6,8 @@ widen -> reduce-k (depth-k only) -> all-top — recording events and
 per-table completeness along the way.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.benchdata.loader import funlang_benchmark_source, prolog_benchmark_source
@@ -284,3 +286,23 @@ def test_cli_exact_run_strictness(tmp_path, capsys):
     assert code == 0
     assert "strictness: completeness=exact" in out
     assert "qsort/1" in out
+
+
+#: app/3 is the entry; nothing calls wrap/2
+UNREACHED = Path(__file__).parent / "data" / "unreached.pl"
+
+
+@pytest.mark.parametrize("analysis", ["groundness", "depthk"])
+def test_cli_prints_an_unreached_predicate_as_not_reached(analysis, capsys):
+    from repro.runtime.cli import main
+
+    code = main([str(UNREACHED), "--analysis", analysis])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "  wrap/2: not reached" in lines
+    assert any(line.startswith("  app/3: ground-on-success=ggg") for line in lines)
+    # a top result claims nothing about any predicate
+    code = main([str(UNREACHED), "--analysis", analysis, "--max-tasks", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert any(line.startswith("  wrap/2: ground-on-success=??") for line in lines)

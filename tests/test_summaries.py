@@ -26,7 +26,6 @@ from repro.analysis.summaries import (
     data_to_term,
     depthk_via_summaries,
     groundness_via_summaries,
-    instantiate,
     term_to_data,
 )
 from repro.benchdata import prolog_benchmark_names, prolog_benchmark_source
@@ -35,7 +34,6 @@ from repro.prolog import load_program
 from repro.prolog.parser import parse_term
 from repro.runtime.budget import ResourceGovernor, TaskBudgetExceeded
 from repro.runtime.faultinject import FaultInjector
-from repro.terms.term import Struct
 
 
 def corpus_program(name):
@@ -346,29 +344,18 @@ def test_instantiate_conditions_open_summary():
     assert bound_claims == (True, True, True)
 
 
-def test_instantiate_helper_counts_and_claims():
-    summary = PredicateSummary(
-        "p",
-        2,
-        [
-            Struct(gp_name("p"), ("true", "true")),
-            Struct(gp_name("p"), ("false", "true")),
-        ],
-    )
-    assert instantiate(summary, (False, False)) == (False, True)
-    assert instantiate(summary, (True, False)) == (True, True)
-
-
 @pytest.mark.parametrize("name", ["qsort", "queens", "pg", "plan"])
 def test_depthk_summary_emptiness_matches_whole_program(name):
     # failcheck consumes depth-k results through one property only —
     # "is the abstract success set empty?" — so that (not the raw
     # shape sets, which differ by demand/subsumption order) is the
-    # parity the modular backend must preserve
+    # parity the modular backend must preserve.  Summaries are open-call
+    # results, so they are compared with the goal-independent run that
+    # solves every predicate's open goal, not with the entry-directed one
     from repro.core.depthk import analyze_depthk
 
     program = corpus_program(name)
-    whole = analyze_depthk(program)
+    whole = analyze_depthk(program, entries=[])
     modular = depthk_via_summaries(program, store=SummaryStore())
     assert modular.completeness == "exact"
     for indicator, shapes in whole.predicates.items():
