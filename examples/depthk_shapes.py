@@ -31,17 +31,22 @@ def main() -> None:
 
     for indicator, shapes in result.predicates.items():
         name, arity = indicator
-        if not shapes.call_patterns:
+        if not result.reached(shapes):
             # the entry goal never calls it, so no table was built
             print(f"{name}/{arity}: not reached")
             continue
-        print(f"{name}/{arity}: ground on success = {shapes.ground_on_success}")
+        print(f"{name}/{arity}: ground on success = {shapes.ground_on_success}, "
+              f"{len(shapes.answers)} shapes over "
+              f"{len(shapes.call_patterns)} call patterns")
         for shape in sorted(shapes.shapes()):
             print("   answer shape:", shape)
 
     ev = result[("eval", 2)]
     # every result of eval on a ground expression is ground
     assert ev.ground_on_success == (True, True)
+    # eval's call patterns share answers; each shape is listed once
+    assert len(set(ev.shapes())) == len(ev.shapes())
+    assert not result.reached(result[("wrap", 2)])
     # and the analysis knows results are num/tuple-shaped
     assert any("num(" in s for s in ev.shapes())
     assert any("tuple(" in s for s in ev.shapes())

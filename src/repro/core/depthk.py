@@ -43,6 +43,7 @@ from repro.runtime.degrade import AnalysisResult
 from repro.terms.subst import Subst
 from repro.terms.term import Struct, Term, Var, fresh_var, term_to_str, term_variables
 from repro.terms.unify import occurs_in
+from repro.terms.variant import variant_key
 
 GAMMA = "$gamma"
 GPK_PREFIX = "gpk$"
@@ -63,35 +64,30 @@ def abstract_unify(t1: Term, t2: Term, subst: Subst) -> Subst | None:
     Unifying ``gamma`` against a structure binds every variable below
     the structure to ``gamma`` (the structure's concretizations that
     are ground).  Performs the occur check, as the paper's version does.
+    Like :func:`~repro.terms.unify.unify`, it puts all its bindings in
+    one new layer and returns ``subst`` itself when it binds nothing.
     """
+    layer = None
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = subst.walk(a)
-        b = subst.walk(b)
+        if isinstance(a, Var):
+            a = subst.walk(a)
+        if isinstance(b, Var):
+            b = subst.walk(b)
         if isinstance(a, Var):
             if isinstance(b, Var) and b.id == a.id:
                 continue
             if occurs_in(a, b, subst):
                 return None
-            subst = subst.bind(a, b)
-            continue
-        if isinstance(b, Var):
+        elif isinstance(b, Var):
             if occurs_in(b, a, subst):
                 return None
-            subst = subst.bind(b, a)
+            a, b = b, a
+        elif a == GAMMA or b == GAMMA:
+            subst, layer = _groundify(b if a == GAMMA else a, subst, layer)
             continue
-        if a == GAMMA:
-            subst = _groundify(b, subst)
-            if subst is None:
-                return None
-            continue
-        if b == GAMMA:
-            subst = _groundify(a, subst)
-            if subst is None:
-                return None
-            continue
-        if isinstance(a, Struct):
+        elif isinstance(a, Struct):
             if (
                 not isinstance(b, Struct)
                 or a.functor != b.functor
@@ -100,21 +96,34 @@ def abstract_unify(t1: Term, t2: Term, subst: Subst) -> Subst | None:
                 return None
             stack.extend(zip(a.args, b.args))
             continue
-        if a != b:
-            return None
+        else:
+            if a != b:
+                return None
+            continue
+        if layer is None:
+            subst, layer = subst.extend()
+        layer[a.id] = b
     return subst
 
 
-def _groundify(term: Term, subst: Subst) -> Subst | None:
-    """Bind every variable under ``term`` to gamma (meet with gamma)."""
+def _groundify(
+    term: Term, subst: Subst, layer: dict | None
+) -> tuple[Subst, dict | None]:
+    """Bind every variable under ``term`` to gamma (meet with gamma).
+
+    The bindings go into ``layer``, the unifier's own top layer of
+    ``subst``, made here if the unifier has none yet.
+    """
     stack = [term]
     while stack:
         t = subst.walk(stack.pop())
         if isinstance(t, Var):
-            subst = subst.bind(t, GAMMA)
+            if layer is None:
+                subst, layer = subst.extend()
+            layer[t.id] = GAMMA
         elif isinstance(t, Struct):
             stack.extend(t.args)
-    return subst
+    return subst, layer
 
 
 def _bi_aunify(args, subst):
@@ -442,14 +451,19 @@ def analyze_depthk(
             predicates[indicator] = PredicateShapes(name, arity, [top], [])
             table_completeness[indicator] = False
             continue
-        answers: list[Term] = []
+        # tables of one predicate share answers: keep the first of each
+        # variant, in table order
+        answers: dict = {}
         calls: list[Term] = []
         complete = True
         for table in engine.tables_by_pred.get((gpk_name(name), arity), []):
             calls.append(table.call)
-            answers.extend(table.answers)
+            for answer in table.answers:
+                answers.setdefault(variant_key(answer), answer)
             complete = complete and table.complete
-        predicates[indicator] = PredicateShapes(name, arity, answers, calls)
+        predicates[indicator] = PredicateShapes(
+            name, arity, list(answers.values()), calls
+        )
         table_completeness[indicator] = complete
     t3 = time.perf_counter()
 

@@ -180,18 +180,14 @@ class _MutSubst(Subst):
     """A mutable substitution for single-threaded monotone inference.
 
     The engine needs persistence (suspended consumers share bindings);
-    HM inference does not, and the persistent copy-on-extend cost is
+    HM inference does not, and a persistent substitution's flattening
+    copies (every few unifications, of every binding so far) grow
     quadratic on big programs.  ``bind`` mutates in place and returns
     ``self``, which every caller here treats as the extended subst.
     """
 
     def bind(self, var, value):
         self._bindings[var.id] = value
-        return self
-
-    def bind_many(self, pairs):
-        for var, value in pairs:
-            self._bindings[var.id] = value
         return self
 
 

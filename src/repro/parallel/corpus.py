@@ -265,17 +265,21 @@ def _task_groundness(path: str, options: dict) -> dict:
         budget=Budget(deadline=deadline) if deadline is not None else None,
         prop_backend=options.get("prop_backend"),
     )
+    predicates = {}
+    for (name, arity), info in sorted(result.predicates.items()):
+        reached = result.reached(info)
+        predicates[f"{name}/{arity}"] = {
+            "reached": reached,
+            # an unreached predicate has no answers: claim nothing
+            "ground_on_success": (list(info.ground_on_success) if reached
+                                  else [False] * arity),
+            "ground_at_call": list(info.ground_at_call),
+            "answers": info.answer_count,
+        }
     return {
         "completeness": result.completeness,
         "table_space": result.table_space,
-        "predicates": {
-            f"{name}/{arity}": {
-                "ground_on_success": list(info.ground_on_success),
-                "ground_at_call": list(info.ground_at_call),
-                "answers": info.answer_count,
-            }
-            for (name, arity), info in sorted(result.predicates.items())
-        },
+        "predicates": predicates,
     }
 
 

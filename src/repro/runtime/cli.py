@@ -85,13 +85,10 @@ def _report_header(path: str, analysis: str, result, out) -> None:
 
 
 def _describe(analysis: str, result, pred) -> str:
-    """One predicate's groundness or depth-k report.
-
-    Both analyses table only the calls their entry goals reach; a
-    predicate outside them has no answers, whose all-ground reading
-    would be a vacuous claim.  A ``top`` result claims ⊤ everywhere.
-    """
-    if not pred.call_patterns and result.completeness != "top":
+    """One predicate's groundness or depth-k report; a predicate the
+    entry goals do not reach
+    (:meth:`~repro.runtime.degrade.AnalysisResult.reached`) gets none."""
+    if not result.reached(pred):
         return "not reached"
     succ = "".join("g" if g else "?" for g in pred.ground_on_success)
     if analysis == "depthk":

@@ -208,6 +208,16 @@ class AnalysisResult:
     def degraded(self) -> bool:
         return self.completeness != "exact"
 
+    def reached(self, pred) -> bool:
+        """Whether this result makes a claim about predicate record ``pred``.
+
+        Groundness and depth-k table only the calls their entry goals
+        reach; a predicate outside them has no call pattern and no
+        answers, whose all-ground reading would be a vacuous claim.  A
+        ``top`` result claims ⊤ about every predicate.
+        """
+        return bool(pred.call_patterns) or self.completeness == "top"
+
     @property
     def total_time(self) -> float:
         return sum(self.times.values())

@@ -2,10 +2,14 @@
 
 The tabled engine suspends and resumes derivations, so bindings must be
 shareable between independent continuations.  We therefore use
-*persistent* substitutions: :meth:`Subst.bind` returns a new substitution
-and never mutates the receiver.  To keep the common case cheap, up to
-``_CHUNK`` bindings are accumulated in a small overlay dict chained to a
-parent; chains are flattened once they grow past ``_MAX_DEPTH``.
+*persistent* substitutions: a substitution is never changed once other
+code can see it.  It is a chain of layers, each a small dict over its
+parent.  A unifier adds *one* layer per unification, not one per
+binding: :meth:`Subst.extend` hands it a new, still private layer, it
+writes every binding of the unification into that layer in place, and
+only then returns the new substitution.  A unification that binds
+nothing returns its input.  Once a chain is ``_MAX_DEPTH`` layers deep,
+the next layer is a flattened copy of the whole chain instead.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class Subst:
     __slots__ = ("_bindings", "_parent", "_depth")
 
     def __init__(self, bindings=None, parent: "Subst | None" = None):
-        self._bindings: dict[int, Term] = bindings or {}
+        self._bindings: dict[int, Term] = bindings if bindings is not None else {}
         self._parent = parent
         self._depth = parent._depth + 1 if parent is not None else 0
 
@@ -41,20 +45,26 @@ class Subst:
             node = node._parent
         return None
 
+    def extend(self) -> "tuple[Subst, dict[int, Term]]":
+        """A new substitution over this one, and its private top layer.
+
+        The caller writes its bindings into the returned dict, keyed by
+        variable id, before it hands the substitution to anyone else;
+        after that the layer must not change.  At ``_MAX_DEPTH`` the new
+        substitution is a flattened copy of this one with no parent, and
+        the dict is that copy.
+        """
+        if self._depth >= _MAX_DEPTH:
+            layer = self._flatten()
+            return Subst(layer), layer
+        layer = {}
+        return Subst(layer, self), layer
+
     def bind(self, var: Var, value: Term) -> "Subst":
         """A new substitution extending this one with ``var -> value``."""
-        if self._depth >= _MAX_DEPTH:
-            flat = self._flatten()
-            flat[var.id] = value
-            return Subst(flat)
-        return Subst({var.id: value}, self)
-
-    def bind_many(self, pairs) -> "Subst":
-        """A new substitution extended with all ``(var, value)`` pairs."""
-        flat = self._flatten()
-        for var, value in pairs:
-            flat[var.id] = value
-        return Subst(flat)
+        subst, layer = self.extend()
+        layer[var.id] = value
+        return subst
 
     def _flatten(self) -> dict[int, Term]:
         layers = []
@@ -70,9 +80,15 @@ class Subst:
     def walk(self, term: Term) -> Term:
         """Dereference ``term`` through variable chains (shallow)."""
         while isinstance(term, Var):
-            value = self.lookup(term)
-            if value is None:
-                return term
+            vid = term.id
+            node = self
+            while True:
+                value = node._bindings.get(vid)
+                if value is not None:
+                    break
+                node = node._parent
+                if node is None:
+                    return term
             term = value
         return term
 

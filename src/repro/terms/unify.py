@@ -23,25 +23,30 @@ def unify(t1: Term, t2: Term, subst: Subst, occur_check: bool = False) -> Subst 
     """Most general unifier of ``t1`` and ``t2`` extending ``subst``.
 
     Returns the extended substitution, or None when unification fails.
-    With ``occur_check=True`` binding a variable to a term containing it
-    fails (needed e.g. by Hindley-Milner type analysis, paper section
-    6.1); the default matches standard Prolog behaviour.
+    All bindings go into one new layer (:meth:`Subst.extend`), made at
+    the first binding; a unification that binds nothing returns
+    ``subst`` itself.  With ``occur_check=True`` binding a variable to a
+    term containing it fails (needed e.g. by Hindley-Milner type
+    analysis, paper section 6.1); the default matches standard Prolog
+    behaviour.
     """
+    layer = None
     stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
-        a = subst.walk(a)
-        b = subst.walk(b)
+        if isinstance(a, Var):
+            a = subst.walk(a)
+        if isinstance(b, Var):
+            b = subst.walk(b)
         if isinstance(a, Var):
             if isinstance(b, Var) and b.id == a.id:
                 continue
             if occur_check and occurs_in(a, b, subst):
                 return None
-            subst = subst.bind(a, b)
         elif isinstance(b, Var):
             if occur_check and occurs_in(b, a, subst):
                 return None
-            subst = subst.bind(b, a)
+            a, b = b, a
         elif isinstance(a, Struct):
             if (
                 not isinstance(b, Struct)
@@ -50,9 +55,14 @@ def unify(t1: Term, t2: Term, subst: Subst, occur_check: bool = False) -> Subst 
             ):
                 return None
             stack.extend(zip(a.args, b.args))
+            continue
         else:
             if a != b:
                 return None
+            continue
+        if layer is None:
+            subst, layer = subst.extend()
+        layer[a.id] = b
     return subst
 
 

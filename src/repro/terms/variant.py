@@ -104,23 +104,27 @@ def canonical(term: Term, subst: Subst = EMPTY_SUBST) -> Term:
     variables; answers stored in tables are canonical terms.
     """
     renaming: dict[int, Var] = {}
-    return _canon(term, subst, renaming)
+    return _canon(term, subst.walk, renaming)
 
 
-def _canon(term: Term, subst: Subst, renaming: dict[int, Var]) -> Term:
-    term = subst.walk(term)
+def _canon(term: Term, walk, renaming: dict[int, Var]) -> Term:
+    """``term`` with each variable, dereferenced by ``walk`` unless
+    ``walk`` is None, replaced by its fresh image in ``renaming``."""
     if isinstance(term, Var):
-        replacement = renaming.get(term.id)
-        if replacement is None:
-            replacement = fresh_var()
-            renaming[term.id] = replacement
-        return replacement
+        if walk is not None:
+            term = walk(term)
+        if isinstance(term, Var):
+            replacement = renaming.get(term.id)
+            if replacement is None:
+                replacement = fresh_var()
+                renaming[term.id] = replacement
+            return replacement
     if isinstance(term, Struct):
         if term._vkey is not None:
             # a keyed subtree holds no variable: nothing to rename, so
             # the stored term is shared rather than copied
             return term
-        return Struct(term.functor, tuple(_canon(a, subst, renaming) for a in term.args))
+        return Struct(term.functor, tuple(_canon(a, walk, renaming) for a in term.args))
     return term
 
 
@@ -128,7 +132,8 @@ def rename_apart(term: Term) -> Term:
     """Rename all variables of a (fully resolved) term to fresh ones.
 
     This is the "standardize apart" step of resolution: program clauses
-    and table answers are renamed before unifying with a goal.
+    and table answers are renamed before unifying with a goal.  The
+    term is taken as resolved, so nothing is walked.
     """
     renaming: dict[int, Var] = {}
-    return _canon(term, EMPTY_SUBST, renaming)
+    return _canon(term, None, renaming)

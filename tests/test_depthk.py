@@ -189,3 +189,29 @@ def test_unreached_predicate_keeps_an_empty_record():
     assert result.table_completeness[("wrap", 2)]
     # the goal-independent run still tables it
     assert analyze_depthk(program, depth=2, entries=[])[("wrap", 2)].answers
+
+
+EVAL_SOURCE = """
+:- entry_point(eval(g, any)).
+eval(lit(N), num(N)).
+eval(add(A, B), num(S)) :- eval(A, num(X)), eval(B, num(Y)), S is X + Y.
+eval(pair(A, B), tuple(VA, VB)) :- eval(A, VA), eval(B, VB).
+eval(fst(E), V) :- eval(E, tuple(V, _)).
+"""
+
+
+def test_predicate_lists_each_shape_once_in_table_order():
+    program = load_program(EVAL_SOURCE)
+    abstract, _ = depthk_program(program)
+    engine = depthk_engine(ClauseDB(abstract), 2, None)
+    for goal in entry_points(program, gpk_name, GAMMA):
+        engine.solve(goal)
+    tables = engine.tables_by_pred[(gpk_name("eval"), 2)]
+    first = {}
+    for table in tables:
+        for answer in table.answers:
+            first.setdefault(variant_key(answer), answer)
+    # the tables share answers, so concatenating them repeats shapes
+    assert len(tables) > 1 and sum(len(t.answers) for t in tables) > len(first)
+    answers = analyze_depthk(program, depth=2)[("eval", 2)].answers
+    assert [variant_key(a) for a in answers] == list(first)

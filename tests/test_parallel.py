@@ -103,6 +103,23 @@ def test_map_corpus_captures_worker_errors(tmp_path):
     assert "FileNotFoundError" in results[0].error
 
 
+#: app/3 is the entry; nothing calls wrap/2
+UNREACHED = str(Path(__file__).parent / "data" / "unreached.pl")
+
+
+def test_groundness_task_claims_nothing_about_an_unreached_predicate():
+    [result] = map_corpus([UNREACHED], task="groundness", jobs=1)
+    predicates = result.payload["predicates"]
+    assert predicates["wrap/2"] == {
+        "reached": False,
+        "ground_on_success": [False, False],
+        "ground_at_call": [False, False],
+        "answers": 0,
+    }
+    assert predicates["app/3"]["reached"]
+    assert predicates["app/3"]["ground_on_success"] == [True, True, True]
+
+
 def test_map_corpus_merged_metrics_equal_serial(tmp_path):
     paths = corpus_paths(tmp_path)[:2]
     observers = {}

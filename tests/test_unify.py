@@ -1,7 +1,9 @@
 """Unification, subsumption and substitutions — including property tests."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.depthk import GAMMA, abstract_unify
 from repro.terms import (
     EMPTY_SUBST,
     Struct,
@@ -14,6 +16,7 @@ from repro.terms import (
     unify,
     variant_key,
 )
+from repro.terms.subst import _MAX_DEPTH
 
 # ----------------------------------------------------------------------
 # hypothesis term generator: terms over a small signature with shared vars
@@ -191,6 +194,40 @@ def test_subst_deep_chains_flatten():
         s = s.bind(v, i)
     for i, v in enumerate(variables):
         assert s.walk(v) == i
+    # the depth bound counts unifications, each binding two variables
+    s = EMPTY_SUBST
+    pairs = [(fresh_var(), fresh_var()) for _ in range(1000)]
+    for i, (x, y) in enumerate(pairs):
+        s = unify(Struct("p", (x, y)), Struct("p", (i, Struct("s", (x,)))), s)
+        assert s._depth <= _MAX_DEPTH
+    for i, (x, y) in enumerate(pairs):
+        assert s.walk(x) == i
+        assert s.resolve(y) == Struct("s", (i,))
+
+
+@pytest.mark.parametrize("unifier", [unify, abstract_unify])
+def test_one_layer_per_unification(unifier):
+    x, y, z = fresh_var(), fresh_var(), fresh_var()
+    base = unify(x, "a", EMPTY_SUBST)
+    s = unifier(Struct("f", (y, z)), Struct("f", ("b", Struct("g", (y,)))), base)
+    assert s._parent is base and s._depth == base._depth + 1
+    assert s.resolve(z) == Struct("g", ("b",))
+    # binding nothing returns the input itself
+    assert unifier(Struct("f", (x, "c")), Struct("f", ("a", "c")), base) is base
+    # failing after a binding leaves the input as it was
+    before = repr(base)
+    assert unifier(Struct("f", ("c", y)), Struct("f", ("d", "b")), base) is None
+    assert repr(base) == before and base.walk(y) is y
+
+
+def test_abstract_unify_grounds_in_one_layer():
+    y, z = fresh_var(), fresh_var()
+    term = Struct("f", (y, Struct("g", (z, y))))
+    for left, right in ((term, GAMMA), (GAMMA, term)):
+        s = abstract_unify(left, right, EMPTY_SUBST)
+        assert s._parent is EMPTY_SUBST
+        assert (s.walk(y), s.walk(z)) == (GAMMA, GAMMA)
+    assert abstract_unify(GAMMA, Struct("f", ("a",)), EMPTY_SUBST) is EMPTY_SUBST
 
 
 def test_is_ground():
